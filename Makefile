@@ -8,7 +8,8 @@ BENCHPKG ?= tlsshortcuts
 BENCHTIME ?= 1x
 
 .PHONY: build test test-faults test-telemetry test-shards test-cryptanalysis \
-	test-obsv test-traffic race bench bench-campaign bench-gate bench-million fmt
+	test-obsv test-traffic test-perfbench race bench bench-campaign bench-gate \
+	bench-million fmt
 
 build:
 	$(GO) build ./...
@@ -78,6 +79,14 @@ test-traffic:
 	$(GO) test -run 'BoundedCache|StableDials|ProgressZeroWallDelta|ProgressCounterRollback|ProgressTrafficFields|Timeline' \
 		-count=1 ./internal/session ./internal/simnet ./internal/obsv ./cmd/tlsobserve
 	$(GO) test -run 'Traffic|CampaignDeterminism' -count=1 ./internal/study
+
+# Benchmark-module suite: perfbench is its own Go module, so the root
+# go test ./... never builds it. Vet and test it, then run a short scan
+# workload end to end and require its golden and digest checks to pass.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload scan --seed 1 --seconds 5 --trace 0 | tee /tmp/perfbench_smoke.txt
+	tail -n 1 /tmp/perfbench_smoke.txt | grep -q '"correct":true'
 
 race:
 	$(GO) test -race ./...

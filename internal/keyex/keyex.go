@@ -7,8 +7,7 @@
 // handshake (a SHA-256 loop plus scalar validation for P-256, a modular
 // exponentiation for FFDH) produced bit-identical results at ~100x the
 // cost. The cache is observationally equivalent to per-handshake
-// derivation; internal/study's equivalence test proves it by comparing
-// cache-on and cache-off campaign datasets byte for byte.
+// derivation; internal/study's committed campaign golden hash pins it.
 package keyex
 
 import (
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"tlsshortcuts/internal/ffdh"
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/telemetry"
 )
 
@@ -177,31 +175,23 @@ func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, er
 			return nil, nil, err
 		}
 		pub := k.PublicKey().Bytes()
-		if perf.CryptoAmortization() {
-			scalarStore(pub, k, false)
-		}
+		scalarStore(pub, k, false)
 		return k, pub, nil
 	}
 	telemetry.Global().Counter("keyex/reuse_lookups").Inc()
 	e := p.epoch(now)
 	ck := p.key('E', e)
-	if perf.CryptoCaches() {
-		if v, ok := cacheGet(ck); ok {
-			telemetry.Global().Counter("wall/keyex/cache_hit").Inc()
-			return v.ecdheKey, v.ecdhePub, nil
-		}
+	if v, ok := cacheGet(ck); ok {
+		telemetry.Global().Counter("wall/keyex/cache_hit").Inc()
+		return v.ecdheKey, v.ecdhePub, nil
 	}
 	k, err := deriveECDHE(p.epochSeedAt(e))
 	if err != nil {
 		return nil, nil, err
 	}
 	pub := k.PublicKey().Bytes()
-	if perf.CryptoCaches() {
-		cachePut(ck, &cacheVal{ecdheKey: k, ecdhePub: pub})
-	}
-	if perf.CryptoAmortization() {
-		scalarStore(pub, k, true)
-	}
+	cachePut(ck, &cacheVal{ecdheKey: k, ecdhePub: pub})
+	scalarStore(pub, k, true)
 	return k, pub, nil
 }
 
@@ -235,16 +225,12 @@ func DHEKey(g *ffdh.Group, p *Policy, now time.Time, rand interface{ Read([]byte
 	e := p.epoch(now)
 	ck := p.key('D', e)
 	ck.group = g
-	if perf.CryptoCaches() {
-		if v, ok := cacheGet(ck); ok {
-			telemetry.Global().Counter("wall/keyex/cache_hit").Inc()
-			return v.dhePriv, v.dhePub, nil
-		}
+	if v, ok := cacheGet(ck); ok {
+		telemetry.Global().Counter("wall/keyex/cache_hit").Inc()
+		return v.dhePriv, v.dhePub, nil
 	}
 	priv := g.PrivateFromSeed(p.epochSeedAt(e))
 	pub := g.Bytes(g.Public(priv))
-	if perf.CryptoCaches() {
-		cachePut(ck, &cacheVal{dhePriv: priv, dhePub: pub})
-	}
+	cachePut(ck, &cacheVal{dhePriv: priv, dhePub: pub})
 	return priv, pub, nil
 }

@@ -24,9 +24,10 @@ import (
 // to the real computation, so correctness never depends on the cache.
 //
 // Entries hold only values produced by a completed, validated agreement;
-// an entry can therefore never admit a public value the slow path would
-// have rejected. The hit counter is wall/-prefixed: hit totals depend on
-// wholesale-clear timing and process history, not on campaign content.
+// an entry can therefore never admit a public value the uncached
+// computation would have rejected. The hit counter is wall/-prefixed:
+// hit totals depend on wholesale-clear timing and process history, not
+// on campaign content.
 var pmx struct {
 	mu sync.Mutex
 	m  map[string]map[string][]byte // serverPub -> clientPub -> premaster
@@ -138,7 +139,7 @@ func FixedClientECDHE() (*ecdh.PrivateKey, []byte) {
 // roughly a third of the arbitrary-point x*Ys it replaces. The points
 // are equal — x*Ys = x*(xs*G) = (x*xs mod n)*G — and both ecdh.ECDH and
 // the public-key serialization expose the 32-byte big-endian
-// x-coordinate, so the derived bytes match the slow path exactly.
+// x-coordinate, so the derived bytes match the x*Ys computation exactly.
 //
 // Fresh-mode scalars go in the volatile map: a fresh public value
 // belongs to exactly one connection, so a consuming lookup deletes the

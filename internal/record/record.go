@@ -14,7 +14,6 @@ import (
 	"net"
 	"sync"
 
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/telemetry"
 )
 
@@ -58,20 +57,15 @@ type Conn struct {
 	// hdr is the reusable frame-header scratch for ReadRecord (reads
 	// through the net.Conn interface escape their buffer).
 	hdr [5]byte
-	// wbuf is the reusable outgoing-record scratch. Both in-memory pipe
-	// flavors (net.Pipe and simnet's buffered pipe) consume the bytes
-	// before Write returns, so the buffer is free again at the next call.
-	wbuf []byte
 	// rbuf is the reusable incoming-record scratch: a Record's Payload is
 	// only valid until the next ReadRecord on the same Conn.
 	rbuf []byte
-	// coalesce batches outgoing records in pend until Flush — one
-	// transport write (one pipe lock + wakeup) per flight instead of one
-	// per record. ReadRecord flushes first, so the peer always sees every
-	// pending byte before this side blocks on it; the byte stream is
-	// identical to per-record writes.
-	coalesce bool
-	pend     []byte
+	// pend batches outgoing records until Flush — one transport write
+	// (one pipe lock + wakeup) per flight instead of one per record.
+	// ReadRecord flushes first, so the peer always sees every pending
+	// byte before this side blocks on it; the byte stream is identical
+	// to per-record writes.
+	pend []byte
 }
 
 // maxPend bounds the coalescing buffer; a pending flight larger than
@@ -79,22 +73,17 @@ type Conn struct {
 // never hits the bound.
 const maxPend = 8 << 10
 
-// NewConn wraps c; both directions start in plaintext and writes are
-// unbuffered (callers that never read again would otherwise need an
-// explicit Flush).
-func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
-
-// Reset rebinds the connection to c and clears both directions' crypto
-// state, keeping the frame scratch buffers. The engines pool their
-// handshake state across connections; nothing a caller retains aliases
-// these buffers (payloads are copied out before the next read). Flight
-// coalescing is enabled here — the pooled engines flush before every
-// read and at connection exit.
+// Reset binds the connection to c and clears both directions' crypto
+// state and any pending writes, keeping the frame scratch buffers. A
+// zero Conn is ready after one Reset. The engines pool their handshake
+// state across connections; nothing a caller retains aliases these
+// buffers (payloads are copied out before the next read). Writes are
+// queued until the next Flush, which ReadRecord and WriteAlert perform
+// implicitly; a caller that stops reading must Flush at exit.
 func (rc *Conn) Reset(c net.Conn) {
 	rc.c = c
 	rc.in = halfConn{}
 	rc.out = halfConn{}
-	rc.coalesce = perf.FlightCoalescing()
 	rc.pend = rc.pend[:0]
 }
 
@@ -133,7 +122,7 @@ var aeadCache struct {
 const maxAEADCacheEntries = 4096
 
 func trafficAEAD(key []byte) (cipher.AEAD, error) {
-	if len(key) != 16 || !perf.CryptoAmortization() {
+	if len(key) != 16 {
 		return NewAEAD(key)
 	}
 	var k [16]byte
@@ -180,14 +169,9 @@ func (h *halfConn) aad(seq uint64, typ uint8, n int) []byte {
 	return h.aadBuf[:]
 }
 
-// Seal protects plain for the armed state; the explicit nonce (the
-// sequence number) is prepended to the ciphertext, as on the real wire.
-func Seal(h *halfConn, typ uint8, plain []byte) []byte {
-	return sealInto(make([]byte, 0, 8+len(plain)+16), h, typ, plain)
-}
-
 // sealInto appends the protected payload (explicit nonce || ciphertext ||
-// tag) to dst and returns the extended slice.
+// tag) to dst and returns the extended slice; the explicit nonce is the
+// sequence number, as on the real wire.
 func sealInto(dst []byte, h *halfConn, typ uint8, plain []byte) []byte {
 	copy(h.nonce[:4], h.salt[:])
 	binary.BigEndian.PutUint64(h.nonce[4:], h.seq)
@@ -199,14 +183,10 @@ func sealInto(dst []byte, h *halfConn, typ uint8, plain []byte) []byte {
 	return dst
 }
 
-// Open reverses Seal. It is exported (with OpenPayload) so the attacker
-// package can decrypt captured records given recovered keys.
-func Open(aead cipher.AEAD, salt []byte, typ uint8, payload []byte) ([]byte, error) {
-	return OpenPayload(aead, salt, typ, payload)
-}
-
 // OpenPayload decrypts one protected record payload (explicit nonce ||
-// ciphertext || tag) using the explicit nonce as the sequence number.
+// ciphertext || tag) using the explicit nonce as the sequence number. It
+// is exported so the attacker package can decrypt captured records given
+// recovered keys.
 func OpenPayload(aead cipher.AEAD, salt []byte, typ uint8, payload []byte) ([]byte, error) {
 	if len(payload) < 8+16 {
 		return nil, fmt.Errorf("record: protected payload too short")
@@ -228,51 +208,33 @@ func NewAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// WriteRecord writes one record, protecting it if the direction is armed.
-// The frame is assembled in the connection's reusable scratch buffer so
-// steady-state writes allocate nothing. With flight coalescing enabled
-// the frame is queued in pend instead and handed to the transport by the
-// next Flush (which ReadRecord and WriteAlert perform implicitly); a
-// transport error then surfaces at that flush.
+// WriteRecord queues one record, protecting it if the direction is
+// armed. The frame is appended to the connection's reusable pending
+// buffer, so steady-state writes allocate nothing, and handed to the
+// transport by the next Flush (which ReadRecord and WriteAlert perform
+// implicitly, and which runs eagerly once maxPend bytes are queued); a
+// transport error surfaces at that flush.
 func (rc *Conn) WriteRecord(typ uint8, payload []byte) error {
-	if rc.coalesce {
-		start := len(rc.pend)
-		buf := append(rc.pend, 0, 0, 0, 0, 0)
-		if rc.out.aead != nil {
-			buf = sealInto(buf, &rc.out, typ, payload)
-		} else {
-			buf = append(buf, payload...)
-		}
-		buf[start] = typ
-		binary.BigEndian.PutUint16(buf[start+1:start+3], recordVersion)
-		binary.BigEndian.PutUint16(buf[start+3:start+5], uint16(len(buf)-start-5))
-		rc.pend = buf
-		if len(rc.pend) >= maxPend {
-			return rc.Flush()
-		}
-		return nil
-	}
-	if need := 5 + len(payload) + 8 + 16; cap(rc.wbuf) < need {
-		rc.wbuf = make([]byte, 0, need+256)
-	}
-	buf := rc.wbuf[:5]
+	start := len(rc.pend)
+	buf := append(rc.pend, 0, 0, 0, 0, 0)
 	if rc.out.aead != nil {
 		buf = sealInto(buf, &rc.out, typ, payload)
 	} else {
 		buf = append(buf, payload...)
 	}
-	buf[0] = typ
-	binary.BigEndian.PutUint16(buf[1:3], recordVersion)
-	binary.BigEndian.PutUint16(buf[3:5], uint16(len(buf)-5))
-	rc.wbuf = buf[:0]
-	_, err := rc.c.Write(buf)
-	return err
+	buf[start] = typ
+	binary.BigEndian.PutUint16(buf[start+1:start+3], recordVersion)
+	binary.BigEndian.PutUint16(buf[start+3:start+5], uint16(len(buf)-start-5))
+	rc.pend = buf
+	if len(rc.pend) >= maxPend {
+		return rc.Flush()
+	}
+	return nil
 }
 
-// Flush hands every pending coalesced record to the transport in one
-// write. It is a no-op when nothing is pending (or coalescing is off),
-// so callers sprinkle it at read boundaries and connection exit without
-// tracking state.
+// Flush hands every pending record to the transport in one write. It is
+// a no-op when nothing is pending, so callers sprinkle it at read
+// boundaries and connection exit without tracking state.
 func (rc *Conn) Flush() error {
 	if len(rc.pend) == 0 {
 		return nil

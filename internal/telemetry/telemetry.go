@@ -4,7 +4,7 @@
 // session/ticket/keyex, study) reports through, snapshot-able at any
 // moment, plus the JSONL Span records study.Run emits per scan phase.
 //
-// The contract, in the house style of internal/perf and internal/faults:
+// The contract, in the house style of internal/faults:
 // telemetry observes, never perturbs. A nil *Registry (and the nil
 // *Counter / *Histogram handles it hands out) is valid and every method
 // on it is a no-op, so uninstrumented runs take the existing code paths

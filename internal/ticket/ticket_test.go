@@ -8,6 +8,7 @@ import (
 
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/telemetry"
 )
 
 func testState() *session.State {
@@ -180,5 +181,70 @@ func TestRotatingDeterminism(t *testing.T) {
 	at := base.Add(90 * time.Minute)
 	if !bytes.Equal(a.IssuingKey(at).Name, b.IssuingKey(at).Name) {
 		t.Error("identically-seeded managers derived different keys")
+	}
+}
+
+// TestOpenTicketIntoCountsOncePerTicket checks both managers' resume path
+// against the process telemetry registry: every OpenTicketInto call adds
+// exactly one ticket/open_ok or ticket/open_miss, however many accepted
+// keys a rotating manager tries before deciding.
+func TestOpenTicketIntoCountsOncePerTicket(t *testing.T) {
+	base := simclock.Epoch
+	static := NewStatic([]byte("count-static"), FormatRFC5077)
+	rot := &Rotating{
+		Seed: []byte("count-rot"), Base: base, Period: 14 * time.Hour,
+		AcceptPrevious: 1, Format: FormatRFC5077,
+	}
+	seal := func(m Manager) []byte {
+		t.Helper()
+		tkt, err := m.IssuingKey(base).Seal(testState(), rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tkt
+	}
+	staticTkt, rotTkt := seal(static), seal(rot)
+	tamper := func(tkt []byte) []byte {
+		mut := append([]byte(nil), tkt...)
+		mut[len(mut)/2] ^= 0x01
+		return mut
+	}
+	cases := []struct {
+		name string
+		mgr  Manager
+		tkt  []byte
+		at   time.Duration
+		ok   bool
+	}{
+		{"static/current", static, staticTkt, time.Hour, true},
+		{"static/tampered", static, tamper(staticTkt), time.Hour, false},
+		{"rotating/current", rot, rotTkt, time.Hour, true},
+		{"rotating/previous", rot, rotTkt, 20 * time.Hour, true},
+		{"rotating/expired", rot, rotTkt, 29 * time.Hour, false},
+		{"rotating/tampered", rot, tamper(rotTkt), time.Hour, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			defer telemetry.SetGlobal(reg)()
+			var st session.State
+			if got := tc.mgr.OpenTicketInto(&st, tc.tkt, base.Add(tc.at)); got != tc.ok {
+				t.Fatalf("OpenTicketInto = %v, want %v", got, tc.ok)
+			}
+			if tc.ok && st.MasterSecret != testState().MasterSecret {
+				t.Error("opened ticket decoded the wrong state")
+			}
+			var wantOK, wantMiss uint64
+			if tc.ok {
+				wantOK = 1
+			} else {
+				wantMiss = 1
+			}
+			c := reg.Snapshot().Counters
+			if c["ticket/open_ok"] != wantOK || c["ticket/open_miss"] != wantMiss {
+				t.Errorf("open_ok=%d open_miss=%d, want %d/%d",
+					c["ticket/open_ok"], c["ticket/open_miss"], wantOK, wantMiss)
+			}
+		})
 	}
 }

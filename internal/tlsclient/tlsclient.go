@@ -24,7 +24,6 @@ import (
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/keyex"
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
@@ -214,7 +213,7 @@ func getHsConn(conn net.Conn) *hsConn {
 	h.rc.Reset(conn)
 	h.hash.Reset()
 	h.off = 0
-	if perf.ConnRecycling() && cap(h.buf) >= 2048 {
+	if cap(h.buf) >= 2048 {
 		// Reuse the previous connection's buffer: every retained parse
 		// result is copied into Capture/Session storage before the hsConn
 		// returns to the pool, so nothing aliases it across connections.
@@ -394,11 +393,11 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		// theirs) cost one key agreement total instead of one per probe.
 		// Only previously-validated server values get cached, so the
 		// cache-hit path's skipped range/point checks cannot admit a value
-		// the slow path would have rejected. The fixed-key path draws no
-		// randomness, so cache hits never shift the DRBG stream.
-		fixed := cfg.ReuseKex && perf.ClientKexReuse()
+		// the uncached computation would have rejected. The fixed-key path
+		// draws no randomness, so cache hits never shift the DRBG stream.
+		fixed := cfg.ReuseKex
 		if kex == wire.KexECDHE {
-			if fixed && perf.CryptoAmortization() {
+			if fixed {
 				premaster, clientPub = clientPremasterECDHE(ske.Public)
 				if premaster == nil {
 					// Fresh-policy servers publish their scalar at key
@@ -432,15 +431,13 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 				}
 				if fixed {
 					clientPub = fixedECDHEPub()
-					if perf.CryptoAmortization() {
-						clientPremasterPutECDHE(ske.Public, premaster, clientPub)
-					}
+					clientPremasterPutECDHE(ske.Public, premaster, clientPub)
 				} else {
 					clientPub = priv.PublicKey().Bytes()
 				}
 			}
 		} else {
-			if fixed && perf.CryptoAmortization() {
+			if fixed {
 				premaster, clientPub = clientPremasterDHE(ske.P, ske.G, ske.Public)
 			}
 			if premaster == nil {
@@ -464,7 +461,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 				}
 				premaster = new(big.Int).Exp(ys, x, p).Bytes()
 				clientPub = ycb
-				if fixed && perf.CryptoAmortization() {
+				if fixed {
 					clientPremasterPutDHE(ske.P, ske.G, ske.Public, premaster, clientPub)
 				}
 			}
@@ -487,9 +484,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	// these bytes from its private half, and the store-before-write order
 	// means its lookup hits. cap.ServerKEXValue carries the same bytes as
 	// the SKE public value, and the map keys copy them.
-	if perf.CryptoAmortization() && premaster != nil {
-		keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
-	}
+	keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
 	hc.mbuf = wire.AppendCKE(hc.mbuf[:0], kex, clientPub)
 	if err := hc.writeFramed(hc.mbuf); err != nil {
 		return err
@@ -789,9 +784,6 @@ func clientPremasterPutDHE(p, g, ys, pm, cpub []byte) {
 var leafCache sync.Map // [32]byte -> *x509.Certificate
 
 func parseLeaf(der []byte) (*x509.Certificate, error) {
-	if !perf.CryptoCaches() {
-		return x509.ParseCertificate(der)
-	}
 	key := sha256.Sum256(der)
 	if v, ok := leafCache.Load(key); ok {
 		return v.(*x509.Certificate), nil
@@ -839,17 +831,13 @@ func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRa
 	if err != nil {
 		return err
 	}
-	amort := perf.CryptoAmortization()
-	var vkey [32]byte
-	if amort {
-		vkey = skeCacheKey(chain[0], ske)
-		skeVerified.mu.RLock()
-		_, ok := skeVerified.m[vkey]
-		skeVerified.mu.RUnlock()
-		if ok {
-			telemetry.Global().Counter("wall/tlsclient/ske_verify_hit").Inc()
-			return nil
-		}
+	vkey := skeCacheKey(chain[0], ske)
+	skeVerified.mu.RLock()
+	_, ok := skeVerified.m[vkey]
+	skeVerified.mu.RUnlock()
+	if ok {
+		telemetry.Global().Counter("wall/tlsclient/ske_verify_hit").Inc()
+		return nil
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], clientRandom, serverRandom)
 	digest := sha256.Sum256(hc.sp)
@@ -865,14 +853,12 @@ func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRa
 	default:
 		return errors.New("tls: unsupported server public key")
 	}
-	if amort {
-		skeVerified.mu.Lock()
-		if skeVerified.m == nil || len(skeVerified.m) >= maxSKEVerified {
-			skeVerified.m = make(map[[32]byte]struct{})
-		}
-		skeVerified.m[vkey] = struct{}{}
-		skeVerified.mu.Unlock()
+	skeVerified.mu.Lock()
+	if skeVerified.m == nil || len(skeVerified.m) >= maxSKEVerified {
+		skeVerified.m = make(map[[32]byte]struct{})
 	}
+	skeVerified.m[vkey] = struct{}{}
+	skeVerified.mu.Unlock()
 	return nil
 }
 

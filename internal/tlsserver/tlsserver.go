@@ -22,7 +22,6 @@ import (
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/ffdh"
 	"tlsshortcuts/internal/keyex"
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
@@ -294,17 +293,12 @@ func handshake(hc *hsConn, cfg *Config) (*session.State, error) {
 	now := cfg.now()
 
 	// Ticket resumption?
-	if len(ch.Ticket) > 0 && cfg.Tickets != nil {
-		if perf.ConnRecycling() {
-			// Decode into the pooled connection's scratch: the resume
-			// path's state is transient (never stored), so the per-ticket
-			// State and decrypt-buffer allocations are pure overhead.
-			if cfg.Tickets.OpenTicketInto(&hc.st, ch.Ticket, now) && suiteOffered(ch.Suites, hc.st.Suite) {
-				return &hc.st, resume(hc, cfg, ch, &hc.st, now)
-			}
-		} else if st := cfg.Tickets.OpenTicket(ch.Ticket, now); st != nil && suiteOffered(ch.Suites, st.Suite) {
-			return st, resume(hc, cfg, ch, st, now)
-		}
+	// Decode into the pooled connection's scratch: the resume path's
+	// state is transient (never stored), so a per-ticket State would be
+	// pure overhead.
+	if len(ch.Ticket) > 0 && cfg.Tickets != nil &&
+		cfg.Tickets.OpenTicketInto(&hc.st, ch.Ticket, now) && suiteOffered(ch.Suites, hc.st.Suite) {
+		return &hc.st, resume(hc, cfg, ch, &hc.st, now)
 	}
 	// Session-ID resumption?
 	if len(ch.SessionID) > 0 && cfg.Cache != nil {
@@ -446,20 +440,17 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	if err != nil {
 		return nil, err
 	}
-	var premaster []byte
 	// The in-process client computed and published this exact agreement
 	// before its CKE was written, keyed by the two public values — one
 	// lookup replaces the scalar multiplication / modexp for both Fresh
-	// and Reuse policies. A miss (cache cleared, or a client run with
-	// amortization off) falls through to the caches and computation below.
-	if perf.CryptoAmortization() {
-		premaster = keyex.PremasterLookup(ske.Public, clientPub)
-	}
+	// and Reuse policies. A miss (cache cleared, or a peer outside this
+	// process) falls through to the caches and computation below.
+	premaster := keyex.PremasterLookup(ske.Public, clientPub)
 	if ecdhePriv != nil {
 		// Under a Reuse policy the epoch private key's pointer is stable,
 		// and the scanning client's public value repeats, so the agreement
 		// is a pure function of (priv, clientPub) — cacheable.
-		reuse := perf.CryptoAmortization() && cfg.ECDHEPolicy != nil && cfg.ECDHEPolicy.Mode == keyex.Reuse
+		reuse := cfg.ECDHEPolicy != nil && cfg.ECDHEPolicy.Mode == keyex.Reuse
 		if reuse && premaster == nil {
 			premaster = srvPremasterECDHE(ecdhePriv, clientPub)
 		}
@@ -477,7 +468,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 			}
 		}
 	} else {
-		reuse := perf.CryptoAmortization() && cfg.DHEPolicy != nil && cfg.DHEPolicy.Mode == keyex.Reuse
+		reuse := cfg.DHEPolicy != nil && cfg.DHEPolicy.Mode == keyex.Reuse
 		if reuse && premaster == nil {
 			premaster = srvPremasterDHE(dhePriv, clientPub)
 		}
@@ -529,9 +520,8 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	}
 	if cfg.Cache != nil {
 		// Surface any transport failure of the pending flight before
-		// mutating the cache, preserving the per-record-write ordering: a
-		// connection cut during the ticket flight must not leave a
-		// resumable cache entry behind.
+		// mutating the cache: a connection cut during the ticket flight
+		// must not leave a resumable cache entry behind.
 		if err := hc.rc.Flush(); err != nil {
 			return nil, err
 		}
@@ -604,17 +594,8 @@ func sendTicket(hc *hsConn, cfg *Config, st *session.State, now time.Time, rnd i
 	if hint == 0 {
 		hint = 2 * time.Hour
 	}
-	if !perf.CryptoAmortization() {
-		tkt, err := k.Seal(st, rnd)
-		if err != nil {
-			return err
-		}
-		nst := wire.NewSessionTicket{LifetimeHint: hint, Ticket: tkt}
-		hc.mbuf = nst.AppendTo(hc.mbuf[:0])
-		return hc.writeRaw(hc.mbuf)
-	}
-	// Amortized path: the message prefix is constant per (key, hint) —
-	// sealed tickets have one fixed length — and the ticket is sealed
+	// The message prefix is constant per (key, hint) — sealed tickets
+	// have one fixed length — and the ticket is sealed
 	// directly into the outgoing buffer, so the abbreviated flight's
 	// serialization costs no allocations at all.
 	hc.mbuf = append(hc.mbuf[:0], nstPrefix(k, hint)...)
@@ -749,9 +730,6 @@ func finishServer(hc *hsConn, kb []byte) error {
 var certMsgCache sync.Map // *pki.Certificate -> []byte
 
 func certMsgBytes(crt *pki.Certificate) []byte {
-	if !perf.CryptoCaches() {
-		return wire.MarshalCertificate(crt.Chain).Marshal()
-	}
 	if v, ok := certMsgCache.Load(crt); ok {
 		return v.([]byte)
 	}
