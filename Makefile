@@ -26,8 +26,8 @@ test-faults:
 	$(GO) test -run 'Fault|Stall|Refus|Reset|Retry|Transient|Classify|Churn|Decide|Sweep|Len|Expire|NoRoute|Clearing|Golden' \
 		./internal/faults ./internal/simnet ./internal/scanner ./internal/session ./internal/study
 
-# Telemetry suite: registry/histogram correctness under -race, span
-# schema round-trip, dial/label collectors, report-rendering determinism,
+# Telemetry suite: registry/histogram correctness under -race, the
+# phase spans a campaign delivers to its observer, dial/label collectors, report-rendering determinism,
 # and the tentpole proof — the golden 200x8 campaign re-run with
 # telemetry fully enabled must still match the committed hash, and a
 # faulted campaign's deterministic metrics must be identical across
@@ -60,10 +60,12 @@ test-cryptanalysis:
 # journal round-trip/validation/merge, prom exposition, and the cluster
 # view. Full half without -short: the golden 200x8 campaign re-run with
 # the whole plane attached (HTTP server + churning SSE subscribers +
-# flight-recorder journal + trace) must match the committed hash, the
-# journal's deterministic view must be identical across worker counts
-# and for sharded-vs-monolithic merges, and studyrun's fatal path must
-# finalize every sink (plus the simweb -metrics smoke).
+# flight-recorder journal) must match the committed hash, every span
+# field must reach the journal's phase_end event, the journal's
+# deterministic view must be identical across worker counts and for
+# sharded-vs-monolithic merges, studyrun's fatal path must finalize
+# every sink, and the -obsv listener must serve /debug/pprof/ (plus the
+# simweb -metrics smoke).
 test-obsv:
 	$(GO) test -race -count=1 -run 'Broadcaster|Prom|Sanitize|JournalRoundTrip|JournalValidation|JournalVersion|JournalAbort|MergeJournals|ClusterView' ./internal/obsv
 	$(GO) test -count=1 ./internal/obsv ./cmd/studyrun ./cmd/simweb ./cmd/tlsobserve

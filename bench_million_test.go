@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"tlsshortcuts/internal/study"
+	"tlsshortcuts/internal/telemetry"
 )
 
 const (
@@ -36,9 +37,9 @@ func envInt(name string, def int) int {
 }
 
 // liveSampler measures post-GC live heap at campaign phase boundaries.
-// It is handed to study.Run as the Trace writer, so every Write runs on
-// the coordinator goroutine after a phase's workers have joined — the
-// campaign's only quiescent moments. Forcing a collection there and
+// It is handed to study.Run as the campaign observer and samples on
+// phase-end events, which fire on the coordinator goroutine after a
+// phase's workers have joined — the campaign's only quiescent moments. Forcing a collection there and
 // reading /gc/heap/live:bytes yields the reachable bytes of resident
 // campaign state: the number the O(domains) memory model is a claim
 // about. Passive sampling instead over-reports residency by the
@@ -49,7 +50,7 @@ func envInt(name string, def int) int {
 // honestly included in the reported seconds_per_op.
 type liveSampler struct {
 	samples []metrics.Sample
-	peak    uint64 // Write calls and the final read are sequenced by study.Run
+	peak    uint64 // OnPhase calls and the final read are sequenced by study.Run
 }
 
 func newLiveSampler() *liveSampler {
@@ -64,9 +65,11 @@ func (ls *liveSampler) read() {
 	}
 }
 
-func (ls *liveSampler) Write(p []byte) (int, error) {
-	ls.read()
-	return len(p), nil
+func (ls *liveSampler) OnPhase(ev telemetry.PhaseEvent) error {
+	if !ev.Start {
+		ls.read()
+	}
+	return nil
 }
 
 // heapSampler polls total heap object bytes (live plus not-yet-collected
@@ -124,7 +127,7 @@ func BenchmarkCampaignMillionProfile(b *testing.B) {
 		sampler := startHeapSampler()
 		live := newLiveSampler()
 		start := time.Now()
-		ds, err := study.Run(study.Options{ListSize: size, Days: days, Seed: 3, Workers: 16, Trace: live})
+		ds, err := study.Run(study.Options{ListSize: size, Days: days, Seed: 3, Workers: 16, Observer: live})
 		if err != nil {
 			b.Fatal(err)
 		}

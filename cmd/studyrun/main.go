@@ -24,26 +24,25 @@
 //
 // Observability (all off by default; none of it perturbs the dataset):
 //
-//	studyrun -progress                       # live stderr ticker: day N/M, handshakes/s, failure rate
 //	studyrun -telemetry-out telemetry.json   # final metrics snapshot as JSON
-//	studyrun -trace trace.jsonl              # one JSONL span per scan phase
-//	studyrun -journal flight.jsonl           # flight-recorder event journal (internal/obsv)
-//	studyrun -obsv 127.0.0.1:9090            # /metrics /progress /journal /healthz HTTP plane
+//	studyrun -journal flight.jsonl           # flight-recorder event journal: one phase_end span per phase
+//	studyrun -obsv 127.0.0.1:9090            # /metrics /progress /journal /healthz /debug/pprof/ HTTP plane
 //	studyrun -obsv-peers http://h2:9090      # merge sibling shards into /cluster
-//	studyrun -pprof 127.0.0.1:6060           # net/http/pprof + /debug/vars expvar export
+//
+// The per-day log line on stderr is the live console view; live rates
+// (handshakes/s, failure rate, utilization) stream from
+// -obsv ADDR/progress?stream=1.
 //
 // On any fatal error the observability sinks are finalized, not lost: the
-// trace file is flushed to a parseable state and the journal ends with a
-// campaign_aborted event recording the failure.
+// journal ends with a campaign_aborted event recording the failure and the
+// telemetry snapshot is still written.
 //
 // The dataset feeds cmd/report, which regenerates every table and figure.
 package main
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -95,12 +94,9 @@ func main() {
 		churnDays    = flag.Int("fault-churn-days", 3, "max churn window length in days")
 
 		telemetryOut = flag.String("telemetry-out", "", "write the final telemetry snapshot JSON to this path")
-		traceOut     = flag.String("trace", "", "write one JSONL telemetry span per scan phase to this path")
 		journalOut   = flag.String("journal", "", "write the flight-recorder event journal (JSONL) to this path")
-		obsvAddr     = flag.String("obsv", "", "serve the observability plane (/metrics /progress /journal /healthz) on this address")
+		obsvAddr     = flag.String("obsv", "", "serve the observability plane (/metrics /progress /journal /healthz /debug/pprof/) on this address")
 		obsvPeers    = flag.String("obsv-peers", "", "comma-separated base URLs of sibling shards' -obsv servers, merged into /cluster")
-		progress     = flag.Bool("progress", false, "live stderr ticker: day N/M, handshakes/s, failure rate")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. 127.0.0.1:6060)")
 
 		abortAfterDay = flag.Int("abort-after-day", -1, "abort the campaign after this day completes (fault-injection test hook)")
 	)
@@ -161,19 +157,16 @@ func main() {
 		out:           *out,
 		report:        *report,
 		telemetryOut:  *telemetryOut,
-		tracePath:     *traceOut,
 		journalPath:   *journalOut,
 		obsvAddr:      *obsvAddr,
 		obsvPeers:     splitList(*obsvPeers),
-		progress:      *progress,
-		pprofAddr:     *pprofAddr,
 		abortAfterDay: *abortAfterDay,
 		logf:          logf,
 		stdout:        os.Stdout,
 	}
-	// All sink finalization (trace flush, journal campaign_aborted,
-	// telemetry snapshot) happens inside runStudy's defers, so exiting
-	// on error here cannot lose observability data.
+	// All sink finalization (journal campaign_aborted, telemetry
+	// snapshot) happens inside runStudy's defers, so exiting on error
+	// here cannot lose observability data.
 	if err := runStudy(cfg); err != nil {
 		log.Fatalf("studyrun: %v", err)
 	}
@@ -182,28 +175,24 @@ func main() {
 // runConfig is everything runStudy needs; main builds it from flags and
 // the fatal-path regression test builds it directly.
 type runConfig struct {
-	opts          study.Options // Telemetry/Trace/Observer are wired by runStudy
+	opts          study.Options // Telemetry/Observer are wired by runStudy
 	shard         string
 	out           string
 	report        bool
 	telemetryOut  string
-	tracePath     string
 	journalPath   string
 	obsvAddr      string
 	obsvPeers     []string
-	progress      bool
-	pprofAddr     string
 	abortAfterDay int // <0 disables; >=0 forces an abort after that day
 	logf          func(string, ...interface{})
 	stdout        *os.File
 }
 
 // runStudy executes one campaign (or shard). Every observability sink is
-// finalized on the way out regardless of success: the trace writer is
-// flushed and closed, the journal is closed after recording campaign_end
-// (success) or campaign_aborted (any error), and the telemetry snapshot
-// is written if requested. Callers that log.Fatalf afterwards lose
-// nothing.
+// finalized on the way out regardless of success: the journal is closed
+// after recording campaign_end (success) or campaign_aborted (any error),
+// and the telemetry snapshot is written if requested. Callers that
+// log.Fatalf afterwards lose nothing.
 func runStudy(cfg runConfig) (retErr error) {
 	logf := cfg.logf
 	if logf == nil {
@@ -222,28 +211,9 @@ func runStudy(cfg runConfig) (retErr error) {
 	// is provably unaffected either way (telemetry observes, never
 	// perturbs — see internal/telemetry and the inertness test).
 	reg := opts.Telemetry
-	if reg == nil && (cfg.telemetryOut != "" || cfg.tracePath != "" || cfg.journalPath != "" ||
-		cfg.obsvAddr != "" || cfg.progress || cfg.pprofAddr != "") {
+	if reg == nil && (cfg.telemetryOut != "" || cfg.journalPath != "" || cfg.obsvAddr != "") {
 		reg = telemetry.NewRegistry()
 		opts.Telemetry = reg
-	}
-
-	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %v", err)
-		}
-		trace := bufio.NewWriter(f)
-		defer func() {
-			// Flush before close even on the error path: a fatal exit
-			// must leave the trace complete up to the last finished
-			// phase, not truncated mid-buffer.
-			if err := trace.Flush(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("flushing trace: %v", err)
-			}
-			f.Close()
-		}()
-		opts.Trace = trace
 	}
 
 	var journal *obsv.Journal
@@ -285,13 +255,12 @@ func runStudy(cfg runConfig) (retErr error) {
 		}()
 	}
 
-	var obsvServer *obsv.Server
 	if cfg.obsvAddr != "" {
 		ln, err := net.Listen("tcp", cfg.obsvAddr)
 		if err != nil {
 			return fmt.Errorf("obsv listen: %v", err)
 		}
-		obsvServer = obsv.NewServer(obsv.Config{
+		obsvServer := obsv.NewServer(obsv.Config{
 			Registry: reg,
 			Days:     opts.Days,
 			ListSize: opts.ListSize,
@@ -305,38 +274,17 @@ func runStudy(cfg runConfig) (retErr error) {
 		defer obsvServer.Close()
 		go func() {
 			logf("observability plane on http://%s/progress", ln.Addr())
-			if err := http.Serve(ln, obsvServer); err != nil {
+			if err := http.Serve(ln, withPprof(obsvServer)); err != nil {
 				logf("obsv server: %v", err)
 			}
 		}()
 		defer ln.Close()
-	}
-	if cfg.pprofAddr != "" {
-		// net/http/pprof and expvar register on the default mux; the
-		// registry snapshot is republished as the "telemetry" expvar, so
-		// /debug/vars carries live campaign counters.
-		expvar.Publish("telemetry", expvar.Func(func() interface{} { return reg.Snapshot() }))
-		go func() {
-			logf("pprof+expvar listening on http://%s/debug/pprof/", cfg.pprofAddr)
-			if err := http.ListenAndServe(cfg.pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-	var progressDone chan struct{}
-	if cfg.progress {
-		progressDone = make(chan struct{})
-		go progressLoop(reg, opts.Days, progressDone)
 	}
 
 	logf("building %d-domain world and running %d-day campaign (seed %d, %d workers)",
 		opts.ListSize, opts.Days, opts.Seed, opts.Workers)
 	start := time.Now()
 	ds, err := study.Run(opts)
-	if progressDone != nil {
-		progressDone <- struct{}{}
-		<-progressDone // closed once the ticker's final newline is out
-	}
 	if err != nil {
 		return fmt.Errorf("study failed: %v", err)
 	}
@@ -362,6 +310,16 @@ func runStudy(cfg runConfig) (retErr error) {
 		}
 	}
 	return nil
+}
+
+// withPprof mounts net/http/pprof's /debug/pprof/ handlers (registered
+// on http.DefaultServeMux by its import) beside the obsv server, so one
+// listener serves both; every other path goes to srv.
+func withPprof(srv http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	mux.Handle("/", srv)
+	return mux
 }
 
 // datasetHash is the canonical dataset fingerprint the journal records:
@@ -452,37 +410,4 @@ func runMerge(paths []string, out string, report bool, logf func(string, ...inte
 		fmt.Fprintln(os.Stdout, study.BuildReport(merged).String())
 	}
 	return nil
-}
-
-// progressLoop renders a once-per-second stderr ticker from registry
-// deltas: scan day, instantaneous handshake rate, cumulative failure
-// rate. It owns the final newline: the caller sends on done and waits
-// for the channel close before printing anything else.
-func progressLoop(reg *telemetry.Registry, days int, done chan struct{}) {
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	var lastStarted uint64
-	last := time.Now()
-	for {
-		select {
-		case <-done:
-			fmt.Fprintln(os.Stderr)
-			close(done)
-			return
-		case <-tick.C:
-			started := reg.Value(telemetry.CounterHandshakesStarted)
-			probes := reg.Value(telemetry.CounterProbes)
-			fails := reg.Value(telemetry.CounterProbeFailures)
-			day := reg.Value(telemetry.CounterDaysCompleted)
-			now := time.Now()
-			rate := float64(started-lastStarted) / now.Sub(last).Seconds()
-			lastStarted, last = started, now
-			failPct := 0.0
-			if probes > 0 {
-				failPct = 100 * float64(fails) / float64(probes)
-			}
-			fmt.Fprintf(os.Stderr, "\rday %d/%d  %8.0f handshakes/s  %5.2f%% probes failed",
-				day, days, rate, failPct)
-		}
-	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,12 +28,12 @@ func studyOptions(t *testing.T) study.Options {
 
 // TestAbortFinalizesSinks is the lost-on-error telemetry regression
 // test: a campaign that dies mid-run (forced via the -abort-after-day
-// fault hook) must still leave a complete, parseable trace file and a
-// journal that ends with campaign_aborted. Before runStudy existed,
-// studyrun's log.Fatalf path dropped the bufio-buffered tail of both.
+// fault hook) must still leave a journal that validates, holds the
+// day-1 phase_end span (the last finished phase), and ends with
+// campaign_aborted, plus the telemetry snapshot. Before runStudy
+// existed, studyrun's log.Fatalf path dropped the bufio-buffered tail.
 func TestAbortFinalizesSinks(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
 	journalPath := filepath.Join(dir, "flight.jsonl")
 	telemetryPath := filepath.Join(dir, "telemetry.json")
 
@@ -39,7 +41,6 @@ func TestAbortFinalizesSinks(t *testing.T) {
 		opts: studyOptions(t),
 		out:  filepath.Join(dir, "dataset.json"),
 
-		tracePath:     tracePath,
 		journalPath:   journalPath,
 		telemetryOut:  telemetryPath,
 		abortAfterDay: 1, // die after day 1 of 4, mid-campaign
@@ -53,35 +54,6 @@ func TestAbortFinalizesSinks(t *testing.T) {
 	}
 	if _, statErr := os.Stat(cfg.out); statErr == nil {
 		t.Error("aborted campaign wrote a dataset file")
-	}
-
-	// The trace must be complete and parseable: every line valid JSON,
-	// and the day-1 span (the last finished phase) present.
-	f, openErr := os.Open(tracePath)
-	if openErr != nil {
-		t.Fatalf("trace file missing after abort: %v", openErr)
-	}
-	defer f.Close()
-	var spans []telemetry.Span
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var span telemetry.Span
-		if jsonErr := json.Unmarshal(sc.Bytes(), &span); jsonErr != nil {
-			t.Fatalf("trace line %d not parseable after abort: %v (%q)", len(spans), jsonErr, sc.Text())
-		}
-		spans = append(spans, span)
-	}
-	if scanErr := sc.Err(); scanErr != nil {
-		t.Fatalf("reading trace: %v", scanErr)
-	}
-	sawDay1 := false
-	for _, span := range spans {
-		if span.Phase == "day" && span.Day == 1 {
-			sawDay1 = true
-		}
-	}
-	if !sawDay1 {
-		t.Errorf("trace lost the day-1 span (the abort trigger); got %d spans", len(spans))
 	}
 
 	// The journal must validate (contiguous seqs, campaign_start first,
@@ -100,6 +72,15 @@ func TestAbortFinalizesSinks(t *testing.T) {
 	}
 	if !strings.Contains(last.Err, "injected abort after day 1") {
 		t.Errorf("campaign_aborted err = %q, want the injected abort reason", last.Err)
+	}
+	sawDay1 := false
+	for _, ev := range events {
+		if ev.Type == obsv.EventPhaseEnd && ev.Phase == "day" && ev.Day == 1 {
+			sawDay1 = ev.Handshakes > 0
+		}
+	}
+	if !sawDay1 {
+		t.Errorf("journal lost the day-1 phase_end span (the abort trigger); got %d events", len(events))
 	}
 
 	// The telemetry snapshot of the failed campaign is written too.
@@ -144,5 +125,28 @@ func TestRunStudyCompletes(t *testing.T) {
 	}
 	if last.DatasetSHA256 == "" {
 		t.Fatal("campaign_end missing the dataset hash")
+	}
+}
+
+// TestObsvListenerServesPprof: the -obsv listener carries net/http/pprof
+// under /debug/pprof/ and routes every other path to the obsv server.
+func TestObsvListenerServesPprof(t *testing.T) {
+	srv := obsv.NewServer(obsv.Config{Registry: telemetry.NewRegistry(), Days: 1})
+	hts := httptest.NewServer(withPprof(srv))
+	defer hts.Close()
+	for path, want := range map[string]string{
+		"/debug/pprof/cmdline": os.Args[0],
+		"/healthz":             "ok",
+		"/metrics":             "tls_obsv_sse_published_total",
+	} {
+		resp, err := http.Get(hts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s = %d %q, want 200 containing %q", path, resp.StatusCode, body, want)
+		}
 	}
 }

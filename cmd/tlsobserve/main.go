@@ -174,6 +174,9 @@ func runTimeline(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *topK < 0 {
+		return fmt.Errorf("timeline: -k must be >= 0, got %d", *topK)
+	}
 	paths := fs.Args()
 	if len(paths) == 0 {
 		return fmt.Errorf("timeline: at least one journal required")

@@ -135,3 +135,15 @@ func TestTimelineTrafficAcrossShards(t *testing.T) {
 		t.Errorf("scan lanes diverged once traffic phases were split out:\n%s", out)
 	}
 }
+
+// TestTimelineNegativeK: a negative -k is a usage error, not a slice
+// bounds panic in the top-K listing.
+func TestTimelineNegativeK(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "j.jsonl")
+	writeTimelineFixture(t, p, false)
+	var buf bytes.Buffer
+	err := runTimeline(&buf, []string{"-k", "-1", p})
+	if err == nil || !strings.Contains(err.Error(), "-k") {
+		t.Fatalf("runTimeline -k -1: err = %v, want a -k usage error", err)
+	}
+}

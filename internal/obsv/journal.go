@@ -33,7 +33,9 @@ const (
 // the replayable record of what a campaign did. Fields are a superset
 // of telemetry.Span's so a phase_end event carries the whole span plus
 // the per-phase counter deltas (failure classes, injected faults, STEK
-// rotations) attributed to the phase they happened in.
+// rotations) attributed to the phase they happened in. phase_end is the
+// campaign's only per-phase record; TestJournalPhaseEndCarriesSpan
+// fails if a Span field gains no column here.
 //
 // Determinism contract: Wall, WallNanos, Utilization, and Workers are
 // scheduling- or wall-clock-dependent; everything else is a pure

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,56 @@ func TestJournalRoundTrip(t *testing.T) {
 	tail := j.Tail(3)
 	if len(tail) != 3 || tail[2].Type != EventCampaignEnd {
 		t.Errorf("Tail(3) = %+v", tail)
+	}
+}
+
+// TestJournalPhaseEndCarriesSpan pins the journal as the campaign's only
+// per-phase record: every telemetry.Span field, set to a distinct
+// non-zero value, must come back out of the written phase_end event
+// under the same field name. A Span field with no journal column fails.
+func TestJournalPhaseEndCarriesSpan(t *testing.T) {
+	var span telemetry.Span
+	sv := reflect.ValueOf(&span).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("v-" + sv.Type().Field(i).Name)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(100 + i))
+		case reflect.Uint64:
+			f.SetUint(uint64(200 + i))
+		case reflect.Float64:
+			f.SetFloat(0.5 + float64(i))
+		default:
+			t.Fatalf("Span.%s: unhandled kind %s; extend this test", sv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	j, buf := testJournal()
+	if err := j.OnPhase(telemetry.PhaseEvent{Span: span}); err != nil {
+		t.Fatalf("OnPhase: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	events, err := DecodeEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("DecodeEvents: %v", err)
+	}
+	if len(events) != 1 || events[0].Type != EventPhaseEnd {
+		t.Fatalf("got %+v, want one phase_end event", events)
+	}
+	ev := reflect.ValueOf(events[0])
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		got := ev.FieldByName(name)
+		if !got.IsValid() {
+			t.Errorf("Span.%s has no Event column", name)
+			continue
+		}
+		if want := sv.Field(i).Interface(); got.Interface() != want {
+			t.Errorf("phase_end %s = %v, want %v", name, got.Interface(), want)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package obsv is the campaign observability plane: an HTTP server any
-// campaign (monolithic or one shard of many) attaches beside its
-// pprof/expvar mux, a flight-recorder journal that records what the
-// campaign did as a replayable JSONL event log, and the cross-shard
-// correlation layer (peer pulling, keyed snapshot merge, journal merge)
-// the tlsobserve CLI and aggregator build on.
+// campaign (monolithic or one shard of many) attaches, a flight-recorder
+// journal that records what the campaign did as a replayable JSONL event
+// log, and the cross-shard correlation layer (peer pulling, keyed
+// snapshot merge, journal merge) the tlsobserve CLI and aggregator build
+// on.
 //
 // Endpoints:
 //
@@ -238,8 +238,7 @@ func (s *Server) progress() Progress {
 	}
 	s.prevTime, s.prevHS, s.prevBusy, s.prevVisits = now, p.Handshakes, busy, p.TrafficVisits
 	s.mu.Unlock()
-	published, dropped, subs := s.bc.counts()
-	_ = published
+	_, dropped, subs := s.bc.counts()
 	p.SSESubscribers = subs
 	p.SSEDropped = dropped
 	// A non-finite float is not JSON-encodable: it would 500 /progress

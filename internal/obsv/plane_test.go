@@ -51,8 +51,8 @@ func hashDataset(t *testing.T, ds *study.Dataset) string {
 
 // TestFullPlaneGoldenCampaign is the acceptance criterion: with the
 // observability plane FULLY enabled — HTTP server attached to the live
-// registry, churning SSE subscribers, flight-recorder journal, trace
-// writer — the determinism campaign must still reproduce the committed
+// registry, churning SSE subscribers, flight-recorder journal — the
+// determinism campaign must still reproduce the committed
 // golden dataset hash byte-for-byte. Observation must not perturb.
 func TestFullPlaneGoldenCampaign(t *testing.T) {
 	if testing.Short() {
@@ -64,8 +64,6 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace bytes.Buffer
-
 	server := obsv.NewServer(obsv.Config{
 		Registry: reg,
 		Days:     detOpts.Days,
@@ -103,7 +101,6 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 
 	opts := detOpts
 	opts.Telemetry = reg
-	opts.Trace = &trace
 	opts.Observer = journal
 	journal.CampaignStart(opts.ListSize, opts.Days, opts.Seed, opts.Workers, "")
 	ds, err := study.Run(opts)
@@ -150,8 +147,8 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 		t.Errorf("journal tail does not end with campaign_end: %d events", len(events))
 	}
 
-	// The trace is complete JSONL and the on-disk journal validates and
-	// records the golden hash.
+	// The on-disk journal validates, records the golden hash, and holds
+	// one phase_end span per scan day.
 	if err := journal.Close(); err != nil {
 		t.Fatalf("journal close: %v", err)
 	}
@@ -165,17 +162,14 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 	if last := full[len(full)-1]; last.DatasetSHA256 != hash {
 		t.Errorf("journal records hash %s, dataset hashed %s", last.DatasetSHA256, hash)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(trace.Bytes()))
-	lines := 0
-	for sc.Scan() {
-		var span telemetry.Span
-		if err := json.Unmarshal(sc.Bytes(), &span); err != nil {
-			t.Fatalf("trace line %d unparseable: %v", lines, err)
+	days := 0
+	for _, ev := range full {
+		if ev.Type == obsv.EventPhaseEnd && ev.Phase == "day" {
+			days++
 		}
-		lines++
 	}
-	if lines < detOpts.Days {
-		t.Errorf("trace has %d spans, want at least one per day", lines)
+	if days != detOpts.Days {
+		t.Errorf("journal has %d day phase_end events, want %d", days, detOpts.Days)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/bits"
 	"os"
 	"sort"
@@ -59,19 +58,14 @@ type Options struct {
 	// (TestTelemetryObservationallyInert pins both).
 	Telemetry *telemetry.Registry
 
-	// Trace, when non-nil, receives one JSONL telemetry.Span line per
-	// scan phase (each lifetime pass, each scan day, the cross-domain
-	// pass). Tracing without a Telemetry registry uses a private one
-	// for span accounting; write errors are logged, never fatal.
-	Trace io.Writer
-
 	// Observer, when non-nil, receives one PhaseEvent at the start and
 	// the end of every campaign phase (each lifetime pass, each scan
 	// day, the cross-domain pass, the cryptanalysis pass). End events
 	// carry the completed telemetry.Span plus per-phase failure-class,
 	// fault-kind, and STEK-rotation counter deltas — the feed the obsv
-	// flight recorder journals. Like Trace, observing without a
-	// Telemetry registry uses a private one for delta accounting. An
+	// flight recorder journals, and the campaign's only per-phase
+	// record. Observing without a Telemetry registry uses a private one
+	// for span and delta accounting. An
 	// observer that returns an error ABORTS the campaign (that is the
 	// abort path the flight recorder finalizes journals through); a
 	// journaling observer that must never fail the run returns nil and
@@ -265,13 +259,13 @@ func Run(o Options) (*Dataset, error) {
 	}
 	// The session/ticket/keyex collectors report through the process
 	// global (they have no per-campaign injection point), so install the
-	// campaign's registry for the run's duration. A trace or observer
-	// without a registry still needs one for span and delta accounting —
+	// campaign's registry for the run's duration. An observer without a
+	// registry still needs one for span and delta accounting —
 	// a private one, installed globally all the same so the deep-layer
 	// counters (STEK rotations above all) reach the flight recorder.
 	trafficOn := o.Traffic != nil && o.Traffic.Users > 0
 	reg := o.Telemetry
-	if reg == nil && (o.Trace != nil || o.Observer != nil || trafficOn) {
+	if reg == nil && (o.Observer != nil || trafficOn) {
 		reg = telemetry.NewRegistry()
 	}
 	if reg != nil {
@@ -513,37 +507,35 @@ func joinTraffic(ds *Dataset) {
 	traffic.ComputeJoin(ds.Traffic, vulnwindow.Combine(r.Exposures))
 }
 
-// spanner emits one telemetry.Span JSONL line per scan phase, deriving
-// per-phase handshake and retry counts from registry deltas, and drives
-// the campaign observer's phase lifecycle. A nil *spanner no-ops, so
-// Run calls begin/end unconditionally.
+// spanner drives the campaign observer's phase lifecycle, deriving each
+// phase's telemetry.Span (handshake and retry counts, utilization) and
+// counter deltas from the registry. A nil *spanner no-ops, so Run calls
+// begin/end unconditionally.
 type spanner struct {
-	w       io.Writer
 	obs     CampaignObserver
 	reg     *telemetry.Registry
 	workers int
 	days    int
 	clock   simclock.Clock
-	logf    func(format string, args ...interface{})
 
 	start      time.Time // wall clock at phase start
 	handshakes uint64
 	retries    uint64
 	busy       uint64
-	prev       *telemetry.Snapshot // observer delta base, taken in begin
+	prev       *telemetry.Snapshot // delta base, taken in begin
 }
 
-// newSpanner returns nil — phase accounting off — unless a trace or an
-// observer is attached.
+// newSpanner returns nil — phase accounting off — unless an observer is
+// attached.
 func newSpanner(o Options, reg *telemetry.Registry, clock simclock.Clock) *spanner {
-	if o.Trace == nil && o.Observer == nil {
+	if o.Observer == nil {
 		return nil
 	}
 	workers := o.Workers
 	if workers <= 0 {
 		workers = 8 // scanner's pool default
 	}
-	return &spanner{w: o.Trace, obs: o.Observer, reg: reg, workers: workers, days: o.Days, clock: clock, logf: o.Logf}
+	return &spanner{obs: o.Observer, reg: reg, workers: workers, days: o.Days, clock: clock}
 }
 
 // begin snapshots the counters the next end() will diff against and
@@ -557,9 +549,6 @@ func (sp *spanner) begin(phase string, day, domains int) error {
 	sp.handshakes = sp.reg.Value(telemetry.CounterHandshakesStarted)
 	sp.retries = sp.reg.Value(telemetry.CounterRetries)
 	sp.busy = sp.reg.Value(telemetry.CounterBusyNanos)
-	if sp.obs == nil {
-		return nil
-	}
 	sp.prev = sp.reg.Snapshot()
 	return sp.obs.OnPhase(telemetry.PhaseEvent{
 		Start: true,
@@ -574,10 +563,9 @@ func (sp *spanner) begin(phase string, day, domains int) error {
 	})
 }
 
-// end writes the phase's span and delivers the observer's end event
-// with per-phase counter deltas. Trace write errors are logged and
-// swallowed — telemetry must never fail a campaign — but an observer
-// error aborts it (that is the flight recorder's abort path).
+// end delivers the observer's end event: the completed span plus
+// per-phase counter deltas. An observer error aborts the campaign (that
+// is the flight recorder's abort path).
 func (sp *spanner) end(phase string, day, domains, failures, pairFails int) error {
 	if sp == nil {
 		return nil
@@ -599,14 +587,6 @@ func (sp *spanner) end(phase string, day, domains, failures, pairFails int) erro
 	if wall > 0 {
 		busy := sp.reg.Value(telemetry.CounterBusyNanos) - sp.busy
 		span.Utilization = float64(busy) / (float64(wall) * float64(sp.workers))
-	}
-	if sp.w != nil {
-		if err := span.Encode(sp.w); err != nil && sp.logf != nil {
-			sp.logf("telemetry: trace write failed: %v", err)
-		}
-	}
-	if sp.obs == nil {
-		return nil
 	}
 	cur := sp.reg.Snapshot()
 	ev := telemetry.PhaseEvent{

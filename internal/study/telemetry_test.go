@@ -1,7 +1,6 @@
 package study
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -30,7 +29,7 @@ func readGolden(t *testing.T) string {
 //
 // Part 1 — byte inertness: the golden 200×8 campaign must serialize to
 // the committed hash with telemetry disabled AND with a registry plus a
-// JSONL trace fully enabled. Telemetry observes, never perturbs: it may
+// phase observer fully enabled. Telemetry observes, never perturbs: it may
 // not draw entropy, shift the virtual clock, or reorder probes.
 //
 // Part 2 — metric determinism: under a fixed non-empty fault plan, the
@@ -49,11 +48,11 @@ func TestTelemetryObservationallyInert(t *testing.T) {
 		t.Fatalf("telemetry-disabled campaign diverged from golden:\n  got  %s\n  want %s", got, want)
 	}
 
-	// Part 1: enabled run — registry plus trace writer.
-	var trace bytes.Buffer
+	// Part 1: enabled run — registry plus phase observer.
+	var spans spanRecorder
 	o := detOpts
 	o.Telemetry = telemetry.NewRegistry()
-	o.Trace = &trace
+	o.Observer = &spans
 	if got := datasetHash(t, o); got != want {
 		t.Fatalf("ENABLED telemetry perturbed the campaign:\n  got  %s\n  want %s", got, want)
 	}
@@ -68,8 +67,8 @@ func TestTelemetryObservationallyInert(t *testing.T) {
 	if got := snap.Counters[telemetry.CounterDaysCompleted]; got != uint64(detOpts.Days) {
 		t.Fatalf("days_completed = %d, want %d", got, detOpts.Days)
 	}
-	if trace.Len() == 0 {
-		t.Fatal("trace writer received no spans")
+	if len(spans) == 0 {
+		t.Fatal("observer received no phase_end spans")
 	}
 
 	// Part 2: fixed fault plan, 3 vs 13 workers.
@@ -104,18 +103,26 @@ func TestTelemetryObservationallyInert(t *testing.T) {
 	}
 }
 
-// TestScanDayTraceSpans checks the JSONL trace a campaign emits: one
-// span per lifetime pass, per scan day, and for the cross-domain pass,
-// with the schema fields the operator dashboards would key on.
+// spanRecorder is a CampaignObserver that keeps each phase's completed
+// span, in order.
+type spanRecorder []telemetry.Span
+
+func (r *spanRecorder) OnPhase(ev telemetry.PhaseEvent) error {
+	if !ev.Start {
+		*r = append(*r, ev.Span)
+	}
+	return nil
+}
+
+// TestScanDayTraceSpans checks the spans a campaign delivers in its
+// phase-end events: one per lifetime pass, per scan day, and for the
+// cross-domain pass, with the schema fields the operator dashboards
+// would key on.
 func TestScanDayTraceSpans(t *testing.T) {
-	var trace bytes.Buffer
-	o := Options{ListSize: 60, Days: 3, Seed: 7, Workers: 4, Trace: &trace}
+	var spans spanRecorder
+	o := Options{ListSize: 60, Days: 3, Seed: 7, Workers: 4, Observer: &spans}
 	if _, err := Run(o); err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	spans, err := telemetry.DecodeSpans(&trace)
-	if err != nil {
-		t.Fatalf("decode trace: %v", err)
 	}
 	wantPhases := []string{"lifetime-id", "lifetime-ticket", "day", "day", "day", "cross-domain"}
 	if len(spans) != len(wantPhases) {

@@ -2,7 +2,8 @@
 // observability layer: a Registry of atomic counters and fixed-bucket
 // duration histograms that every pipeline stage (scanner, simnet,
 // session/ticket/keyex, study) reports through, snapshot-able at any
-// moment, plus the JSONL Span records study.Run emits per scan phase.
+// moment, plus the Span record study.Run delivers per campaign phase
+// (inside a PhaseEvent; the obsv journal writes it as phase_end).
 //
 // The contract, in the house style of internal/faults:
 // telemetry observes, never perturbs. A nil *Registry (and the nil
@@ -22,9 +23,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -37,7 +36,7 @@ import (
 const WallPrefix = "wall/"
 
 // Names of the metrics shared across packages: the scanner writes them,
-// study's span emitter and studyrun's -progress ticker read them.
+// study's span emitter and the obsv /progress view read them.
 const (
 	// CounterProbes counts logical probes (one per scanner.connect
 	// call, however many retry attempts it takes).
@@ -56,8 +55,8 @@ const (
 	// CounterBusyNanos accumulates wall-clock nanoseconds workers spent
 	// inside probes; with phase wall time it yields worker utilization.
 	CounterBusyNanos = "wall/scanner/busy_ns"
-	// CounterDaysCompleted counts finished scan days; the -progress
-	// ticker renders it as "day N/M".
+	// CounterDaysCompleted counts finished scan days; obsv /progress
+	// renders it as the campaign's current day.
 	CounterDaysCompleted = "study/days_completed"
 	// CounterSTEKRotations counts observed ticket-key rotations (exactly
 	// one per epoch transition per manager, whatever the interleaving).
@@ -376,33 +375,11 @@ func (s *Snapshot) MergeHistograms(prefix string) HistogramSnapshot {
 	if s == nil {
 		return out
 	}
-	byLE := map[time.Duration]uint64{}
 	for name, h := range s.Histograms {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		out.Count += h.Count
-		out.Sum += h.Sum
-		if h.Max > out.Max {
-			out.Max = h.Max
-		}
-		for _, b := range h.Buckets {
-			byLE[b.LE] += b.N
+		if strings.HasPrefix(name, prefix) {
+			out = addHistogramSnapshots(out, h)
 		}
 	}
-	for le, n := range byLE {
-		out.Buckets = append(out.Buckets, BucketCount{LE: le, N: n})
-	}
-	sort.Slice(out.Buckets, func(i, j int) bool {
-		a, b := out.Buckets[i].LE, out.Buckets[j].LE
-		if a < 0 {
-			return false
-		}
-		if b < 0 {
-			return true
-		}
-		return a < b
-	})
 	return out
 }
 
@@ -574,26 +551,32 @@ func SetGlobal(r *Registry) (restore func()) {
 	return func() { global.Store(old) }
 }
 
-// Span is one scan phase's trace record: each lifetime-probe pass, each
-// scan day, and the cross-domain pass emit one as a JSON line. Fields
+// Span is one campaign phase's record, delivered in the phase's end
+// PhaseEvent: each lifetime-probe pass, each scan day, each traffic day,
+// the cross-domain pass and the cryptanalysis pass produce one. Fields
 // derived from wall time (WallNanos, Utilization) vary run to run;
 // everything else is deterministic for a fixed (seed, fault plan).
 type Span struct {
-	// Phase is "lifetime-id", "lifetime-ticket", "day", or "cross-domain".
+	// Phase is "lifetime-id", "lifetime-ticket", "day", "traffic-day",
+	// "cross-domain", or "cryptanalysis".
 	Phase string `json:"phase"`
-	// Day is the 0-based scan day for "day" spans, -1 otherwise.
+	// Day is the 0-based day for "day" and "traffic-day" spans, -1
+	// otherwise.
 	Day int `json:"day"`
 	// Days is the campaign length in scan days.
 	Days int `json:"days"`
 	// VirtualDate is the simulated clock (RFC 3339) when the phase ended.
 	VirtualDate string `json:"virtual_date,omitempty"`
-	// Domains is the number of targets probed in this phase.
+	// Domains is the number of targets probed in this phase; for
+	// "traffic-day" spans, the number of user visits.
 	Domains int `json:"domains"`
 	// Failures counts probes whose final attempt failed; for "day"
-	// spans these are first-connection (ticket-scan) failures.
+	// spans these are first-connection (ticket-scan) failures, for
+	// "traffic-day" spans failed visits.
 	Failures int `json:"failures"`
-	// PairFailures counts failed second connections (the DHE/ECDHE
-	// reuse pairs of a scan day); 0 for non-day phases.
+	// PairFailures counts failed second connections: the DHE/ECDHE
+	// reuse pairs of a scan day, the cache probes of the cross-domain
+	// pass; 0 for other phases.
 	PairFailures int `json:"pair_failures"`
 	// Handshakes is the number of connection attempts, retries included.
 	Handshakes uint64 `json:"handshakes"`
@@ -628,30 +611,4 @@ type PhaseEvent struct {
 	// per-operator manager rotates lazily in every shard that touches
 	// its domains, so cross-shard journal merges must normalize it out.
 	STEKRotations uint64
-}
-
-// Encode writes the span as one JSON line.
-func (s *Span) Encode(w io.Writer) error {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// DecodeSpans reads a JSONL span trace back into memory.
-func DecodeSpans(r io.Reader) ([]Span, error) {
-	dec := json.NewDecoder(r)
-	var out []Span
-	for {
-		var s Span
-		if err := dec.Decode(&s); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
 }

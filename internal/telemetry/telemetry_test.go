@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"sync"
@@ -134,36 +133,6 @@ func TestDeterministicFiltersWallPrefix(t *testing.T) {
 	}
 	if d.Histograms["scanner/vlatency/daily|ticket"].Count != 1 {
 		t.Fatal("deterministic histogram dropped")
-	}
-}
-
-// TestSpanJSONLRoundTrip pins the span schema: Encode then DecodeSpans
-// must reproduce the records field for field.
-func TestSpanJSONLRoundTrip(t *testing.T) {
-	in := []Span{
-		{Phase: "lifetime-id", Day: -1, Days: 8, VirtualDate: "2016-01-01T00:00:00Z",
-			Domains: 150, Failures: 2, Handshakes: 300, Retries: 4,
-			WallNanos: 1234567, Workers: 8, Utilization: 0.71},
-		{Phase: "day", Day: 3, Days: 8, VirtualDate: "2016-01-04T00:00:00Z",
-			Domains: 200, Failures: 1, PairFailures: 2, Handshakes: 520,
-			Retries: 9, WallNanos: 987654, Workers: 8, Utilization: 0.93},
-		{Phase: "cross-domain", Day: -1, Days: 8, Domains: 150, Handshakes: 900},
-	}
-	var buf bytes.Buffer
-	for i := range in {
-		if err := in[i].Encode(&buf); err != nil {
-			t.Fatalf("encode span %d: %v", i, err)
-		}
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != len(in) {
-		t.Fatalf("expected %d JSONL lines, got %d", len(in), lines)
-	}
-	out, err := DecodeSpans(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 	}
 }
 
