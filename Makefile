@@ -45,13 +45,16 @@ test-shards:
 	$(GO) test -run 'Shard|Merge|CampaignDeterminism' -count=1 ./internal/study
 
 # Cryptanalysis suite: dictionary cracking and probe units, the ticket
-# key-name regressions, the attacker capture-path fixes (format rejection,
-# snapshot isolation under -race, round-trip property, e2e resumed-capture
+# key-name regressions, the client's SKE checks (a replayed
+# ServerKeyExchange with a bad signature must fail even after the same
+# certificate and KEX params verified once; the parsed-leaf cache stays
+# bounded), the attacker capture-path fixes (format rejection, snapshot
+# isolation under -race, round-trip property, e2e resumed-capture
 # decryption), and the weak-population campaign proofs — nonzero measured
 # decryption yield with the toggle on, byte-identical golden hash with it
 # off, and worker-count/shard invariance of the weak campaign itself.
 test-cryptanalysis:
-	$(GO) test -count=1 ./internal/cryptanalysis ./internal/ticket ./internal/vulnwindow
+	$(GO) test -count=1 ./internal/cryptanalysis ./internal/ticket ./internal/vulnwindow ./internal/tlsclient
 	$(GO) test -race -count=1 ./internal/attacker
 	$(GO) test -run 'WeakCrypto|CampaignDeterminism' -count=1 ./internal/study
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -129,25 +128,27 @@ func TestTapSnapshotIsolation(t *testing.T) {
 
 // Concurrent snapshot use while the tap keeps recording must be
 // race-clean (run under -race): parse and serialize snapshots in the
-// reader while a writer streams segments through the tap.
+// reader while a writer streams segments through the tap. The writer
+// gets a fixed burst of writes per snapshot, released just before the
+// reader takes it, so the two still overlap but the recording stays
+// bounded (rounds*burst*64 bytes); an unthrottled writer on a multi-core
+// host grows it by gigabytes while the reader copies it.
 func TestTapConcurrentParse(t *testing.T) {
+	const rounds, burst = 200, 16
 	tap := attacker.NewTap(sinkConn{})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
+	start := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		buf := bytes.Repeat([]byte{0x16}, 64)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+		for range start {
+			for j := 0; j < burst; j++ {
 				tap.Write(buf)
 			}
 		}
 	}()
-	for i := 0; i < 200; i++ {
+	for i := 0; i < rounds; i++ {
+		start <- struct{}{}
 		c := tap.Conversation()
 		blob := c.Save()
 		if _, err := attacker.Load(blob); err != nil {
@@ -155,8 +156,8 @@ func TestTapConcurrentParse(t *testing.T) {
 		}
 		_, _ = attacker.Parse(c) // not a TLS stream; must not race, may error
 	}
-	close(stop)
-	wg.Wait()
+	close(start)
+	<-done
 }
 
 // e2e: a capture of a ticket-resumed handshake decrypts via the

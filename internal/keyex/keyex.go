@@ -60,7 +60,7 @@ func (p *Policy) epoch(now time.Time) uint64 {
 	return uint64(d / p.Period)
 }
 
-// epochSeed folds an epoch counter into the policy's seed.
+// epochSeedAt folds an epoch counter into the policy's seed.
 func (p *Policy) epochSeedAt(e uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], e)
@@ -68,11 +68,6 @@ func (p *Policy) epochSeedAt(e uint64) []byte {
 	h.Write(p.Seed)
 	h.Write(b[:])
 	return h.Sum(nil)
-}
-
-// epochSeed folds the policy's epoch counter into its seed.
-func (p *Policy) epochSeed(now time.Time) []byte {
-	return p.epochSeedAt(p.epoch(now))
 }
 
 // ---- epoch-keyed derivation cache ----
@@ -148,17 +143,12 @@ func deriveECDHE(seed []byte) (*ecdh.PrivateKey, error) {
 	return nil, fmt.Errorf("keyex: could not derive P-256 key")
 }
 
-// ECDHEKey returns the server's P-256 private key for this handshake under
-// the policy; rand supplies entropy for Fresh mode.
-func ECDHEKey(p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*ecdh.PrivateKey, error) {
-	k, _, err := ECDHEKeyPub(p, now, rand)
-	return k, err
-}
-
-// ECDHEKeyPub is ECDHEKey plus the serialized public value (the bytes the
-// ServerKeyExchange carries). In Reuse mode both come from the epoch
-// cache, so neither the derivation loop nor the point serialization runs
-// more than once per epoch. The returned slice must not be modified.
+// ECDHEKeyPub returns the server's P-256 private key for this handshake
+// under the policy, plus the serialized public value (the bytes the
+// ServerKeyExchange carries); rand supplies entropy for Fresh mode. In
+// Reuse mode both come from the epoch cache, so neither the derivation
+// loop nor the point serialization runs more than once per epoch. The
+// returned slice must not be modified.
 func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*ecdh.PrivateKey, []byte, error) {
 	if p == nil || p.Mode == Fresh {
 		telemetry.Global().Counter("keyex/fresh_keys").Inc()
@@ -195,18 +185,6 @@ func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, er
 	return k, pub, nil
 }
 
-// DHEPrivate returns the server's FFDH exponent seed for this handshake.
-func DHEPrivate(g *ffdh.Group, p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) ([]byte, error) {
-	if p == nil || p.Mode == Fresh {
-		buf := make([]byte, 32)
-		if _, err := rand.Read(buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	return p.epochSeed(now), nil
-}
-
 // DHEKey returns the server's FFDH private exponent and its serialized
 // public value (left-padded to the modulus width). In Reuse mode the
 // exponent derivation and the g^x modexp are served from the epoch cache.
@@ -214,11 +192,11 @@ func DHEPrivate(g *ffdh.Group, p *Policy, now time.Time, rand interface{ Read([]
 func DHEKey(g *ffdh.Group, p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*big.Int, []byte, error) {
 	if p == nil || p.Mode == Fresh {
 		telemetry.Global().Counter("keyex/fresh_keys").Inc()
-		seed, err := DHEPrivate(g, p, now, rand)
-		if err != nil {
+		var seed [32]byte
+		if _, err := rand.Read(seed[:]); err != nil {
 			return nil, nil, err
 		}
-		priv := g.PrivateFromSeed(seed)
+		priv := g.PrivateFromSeed(seed[:])
 		return priv, g.Bytes(g.Public(priv)), nil
 	}
 	telemetry.Global().Counter("keyex/reuse_lookups").Inc()

@@ -8,11 +8,11 @@ import (
 	"crypto"
 	"crypto/ecdh"
 	"crypto/ecdsa"
+	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -28,7 +28,6 @@ import (
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/simclock"
-	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/wire"
 )
@@ -388,38 +387,32 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		if err := verifySKE(hc, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
 			return err
 		}
-		// With the fixed client key, the shared secret is a pure function
-		// of the server's KEX value, so Reuse-policy servers (which repeat
-		// theirs) cost one key agreement total instead of one per probe.
-		// Only previously-validated server values get cached, so the
-		// cache-hit path's skipped range/point checks cannot admit a value
-		// the uncached computation would have rejected. The fixed-key path
-		// draws no randomness, so cache hits never shift the DRBG stream.
+		// With the fixed client key, a server that published its scalar
+		// (keyex's scalar exchange: Fresh-policy servers at key generation,
+		// Reuse-policy servers once per epoch, both before the SKE we just
+		// parsed was sent) lets the secret be derived from both scalars — a
+		// base-point multiplication, ~3x cheaper than x*Ys. Only
+		// self-generated points ever reach the scalar map, so the skipped
+		// on-curve check cannot admit a bad value. Neither fixed-key path
+		// draws randomness, so the DRBG stream is the same either way.
 		fixed := cfg.ReuseKex
 		if kex == wire.KexECDHE {
 			if fixed {
-				premaster, clientPub = clientPremasterECDHE(ske.Public)
-				if premaster == nil {
-					// Fresh-policy servers publish their scalar at key
-					// generation, before the SKE we just parsed was sent:
-					// deriving the secret from both scalars is a base-point
-					// multiplication, ~3x cheaper than x*Ys. Only
-					// self-generated points ever reach the scalar map, so the
-					// skipped on-curve check cannot admit a bad value.
-					if pm := keyex.ClientPremasterFromScalar(ske.Public); pm != nil {
-						premaster, clientPub = pm, fixedECDHEPub()
-					}
+				if pm := keyex.ClientPremasterFromScalar(ske.Public); pm != nil {
+					premaster = pm
+					_, clientPub = keyex.FixedClientECDHE()
 				}
 			}
 			if premaster == nil {
 				var priv *ecdh.PrivateKey
 				if fixed {
-					priv = fixedECDHEKey()
+					priv, clientPub = keyex.FixedClientECDHE()
 				} else {
 					priv, err = ecdh.P256().GenerateKey(cfg.rand())
 					if err != nil {
 						return err
 					}
+					clientPub = priv.PublicKey().Bytes()
 				}
 				peer, err := ecdh.P256().NewPublicKey(ske.Public)
 				if err != nil {
@@ -429,42 +422,26 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 				if err != nil {
 					return err
 				}
-				if fixed {
-					clientPub = fixedECDHEPub()
-					clientPremasterPutECDHE(ske.Public, premaster, clientPub)
-				} else {
-					clientPub = priv.PublicKey().Bytes()
-				}
 			}
 		} else {
+			p := new(big.Int).SetBytes(ske.P)
+			g := new(big.Int).SetBytes(ske.G)
+			var x *big.Int
 			if fixed {
-				premaster, clientPub = clientPremasterDHE(ske.P, ske.G, ske.Public)
+				x, clientPub = fixedDHEKey(p, g)
+			} else {
+				var xb [32]byte
+				if _, err := io.ReadFull(cfg.rand(), xb[:]); err != nil {
+					return err
+				}
+				x = new(big.Int).SetBytes(xb[:])
+				clientPub = new(big.Int).Exp(g, x, p).Bytes()
 			}
-			if premaster == nil {
-				p := new(big.Int).SetBytes(ske.P)
-				g := new(big.Int).SetBytes(ske.G)
-				var x *big.Int
-				var ycb []byte
-				if fixed {
-					x, _, ycb = fixedDHEKey(p, g)
-				} else {
-					var xb [32]byte
-					if _, err := io.ReadFull(cfg.rand(), xb[:]); err != nil {
-						return err
-					}
-					x = new(big.Int).SetBytes(xb[:])
-					ycb = new(big.Int).Exp(g, x, p).Bytes()
-				}
-				ys := new(big.Int).SetBytes(ske.Public)
-				if ys.Sign() <= 0 || ys.Cmp(p) >= 0 {
-					return errors.New("tls: server DH value out of range")
-				}
-				premaster = new(big.Int).Exp(ys, x, p).Bytes()
-				clientPub = ycb
-				if fixed {
-					clientPremasterPutDHE(ske.P, ske.G, ske.Public, premaster, clientPub)
-				}
+			ys := new(big.Int).SetBytes(ske.Public)
+			if ys.Sign() <= 0 || ys.Cmp(p) >= 0 {
+				return errors.New("tls: server DH value out of range")
 			}
+			premaster = new(big.Int).Exp(ys, x, p).Bytes()
 		}
 	default:
 		return fmt.Errorf("tls: unsupported key exchange %v", kex)
@@ -536,7 +513,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		return err
 	}
 	want := hc.ex.AppendPRF(hc.fin[:0], "server finished", preServer, 12)
-	if msg.Type != wire.TypeFinished || !equal(msg.Body, want) {
+	if msg.Type != wire.TypeFinished || !hmac.Equal(msg.Body, want) {
 		return errors.New("tls: bad server Finished")
 	}
 
@@ -578,7 +555,7 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 		return err
 	}
 	want := hc.ex.AppendPRF(hc.fin[:0], "server finished", preServer, 12)
-	if fin.Type != wire.TypeFinished || !equal(fin.Body, want) {
+	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
 		return errors.New("tls: bad server Finished on resumption")
 	}
 
@@ -647,182 +624,76 @@ func appData(hc *hsConn, cfg *Config, cap *Capture) error {
 	return nil
 }
 
-// fixedECDHEKey returns the process-wide fixed client P-256 key, now
-// hosted by internal/keyex so the server side can prime the premaster
-// exchange cache against it (the derivation, and therefore every
-// campaign byte, is unchanged).
-func fixedECDHEKey() *ecdh.PrivateKey {
-	k, _ := keyex.FixedClientECDHE()
-	return k
-}
-
-// fixedECDHEPub returns the fixed key's marshaled public point, which is
-// written into the CKE (AppendCKE copies it) but never mutated.
-func fixedECDHEPub() []byte {
-	_, pub := keyex.FixedClientECDHE()
-	return pub
-}
-
-// fixedDHEKey returns the fixed client DH exponent and the memoized g^x
-// (as big.Int and marshaled bytes) for the given group: the population
-// uses one group, so this is a single modexp per process instead of one
-// per scan.
+// fixedDHEKey returns the fixed client DH exponent and the memoized,
+// marshaled g^x for the given group: the population uses one group, so
+// this is a single modexp per process instead of one per scan. Cleared
+// wholesale at maxFixedDHEGroups, so peers outside the simulation cannot
+// grow it without bound.
 type dheKey struct {
-	x, yc *big.Int
-	ycb   []byte
+	x   *big.Int
+	ycb []byte
 }
 
 var fixedDHE struct {
 	mu sync.Mutex
-	m  map[string]dheKey // P||G -> {x, g^x, bytes(g^x)}
+	m  map[string]dheKey // P||G -> {x, bytes(g^x)}
 }
 
-func fixedDHEKey(p, g *big.Int) (x, yc *big.Int, ycb []byte) {
+const maxFixedDHEGroups = 64
+
+func fixedDHEKey(p, g *big.Int) (x *big.Int, ycb []byte) {
 	key := string(p.Bytes()) + "|" + string(g.Bytes())
 	fixedDHE.mu.Lock()
 	defer fixedDHE.mu.Unlock()
 	if v, ok := fixedDHE.m[key]; ok {
-		return v.x, v.yc, v.ycb
+		return v.x, v.ycb
 	}
 	var xb [32]byte
 	_, _ = io.ReadFull(drbg.NewString("tlsclient|fixed-dhe"), xb[:])
 	x = new(big.Int).SetBytes(xb[:])
-	yc = new(big.Int).Exp(g, x, p)
-	ycb = yc.Bytes()
-	if fixedDHE.m == nil {
+	ycb = new(big.Int).Exp(g, x, p).Bytes()
+	if fixedDHE.m == nil || len(fixedDHE.m) >= maxFixedDHEGroups {
 		fixedDHE.m = make(map[string]dheKey)
 	}
-	fixedDHE.m[key] = dheKey{x: x, yc: yc, ycb: ycb}
-	return x, yc, ycb
-}
-
-// clientPM caches the premaster secret (and the matching marshaled client
-// public) per server KEX value, usable only with the fixed client key.
-// Reuse-policy servers repeat their KEX value across connections, so each
-// such server costs one ECDH/modexp for the whole campaign. Entries are
-// returned by reference: premasters feed the PRF and publics the CKE, both
-// read-only. Hit counts depend on which worker probes a server first, so
-// the telemetry counter is wall-prefixed (excluded from determinism
-// comparisons). Bounded by wholesale clear, like the server-side caches.
-type pmEntry struct{ pm, pub []byte }
-
-var clientPM struct {
-	mu sync.RWMutex
-	ec map[string]pmEntry                       // server ECDHE point -> entry
-	dh map[string]map[string]map[string]pmEntry // P -> G -> Ys -> entry
-	n  int
-}
-
-const maxClientPMEntries = 8192
-
-func clientPremasterECDHE(pub []byte) (pm, cpub []byte) {
-	clientPM.mu.RLock()
-	e, ok := clientPM.ec[string(pub)]
-	clientPM.mu.RUnlock()
-	if !ok {
-		return nil, nil
-	}
-	telemetry.Global().Counter("wall/tlsclient/premaster_hit").Inc()
-	return e.pm, e.pub
-}
-
-func clientPremasterPutECDHE(pub, pm, cpub []byte) {
-	clientPM.mu.Lock()
-	defer clientPM.mu.Unlock()
-	if clientPM.n >= maxClientPMEntries {
-		clientPM.ec, clientPM.dh, clientPM.n = nil, nil, 0
-	}
-	if clientPM.ec == nil {
-		clientPM.ec = make(map[string]pmEntry)
-	}
-	// No defensive copies: pm is the fresh slice the key agreement just
-	// returned (only ever read — the PRF copies it into its HMAC pads)
-	// and cpub is the immutable fixed-key public.
-	clientPM.ec[string(pub)] = pmEntry{pm: pm, pub: cpub}
-	clientPM.n++
-}
-
-func clientPremasterDHE(p, g, ys []byte) (pm, cpub []byte) {
-	clientPM.mu.RLock()
-	e, ok := clientPM.dh[string(p)][string(g)][string(ys)]
-	clientPM.mu.RUnlock()
-	if !ok {
-		return nil, nil
-	}
-	telemetry.Global().Counter("wall/tlsclient/premaster_hit").Inc()
-	return e.pm, e.pub
-}
-
-func clientPremasterPutDHE(p, g, ys, pm, cpub []byte) {
-	clientPM.mu.Lock()
-	defer clientPM.mu.Unlock()
-	if clientPM.n >= maxClientPMEntries {
-		clientPM.ec, clientPM.dh, clientPM.n = nil, nil, 0
-	}
-	if clientPM.dh == nil {
-		clientPM.dh = make(map[string]map[string]map[string]pmEntry)
-	}
-	gm := clientPM.dh[string(p)]
-	if gm == nil {
-		gm = make(map[string]map[string]pmEntry)
-		clientPM.dh[string(p)] = gm
-	}
-	ym := gm[string(g)]
-	if ym == nil {
-		ym = make(map[string]pmEntry)
-		gm[string(g)] = ym
-	}
-	// Same ownership argument as the ECDHE put: both slices are
-	// fresh-or-immutable and only ever read.
-	ym[string(ys)] = pmEntry{pm: pm, pub: cpub}
-	clientPM.n++
+	fixedDHE.m[key] = dheKey{x: x, ycb: ycb}
+	return x, ycb
 }
 
 // leafCache memoizes x509.ParseCertificate by leaf fingerprint: the
 // scanner re-parses the same few hundred leaves tens of thousands of
-// times to check ServerKeyExchange signatures.
-var leafCache sync.Map // [32]byte -> *x509.Certificate
+// times to check ServerKeyExchange signatures. Bounded like the keyex
+// caches: cleared wholesale at maxLeafCacheEntries, which is above the
+// leaf count of any population a campaign scans.
+var leafCache struct {
+	mu sync.RWMutex
+	m  map[[32]byte]*x509.Certificate
+}
+
+const maxLeafCacheEntries = 8192
 
 func parseLeaf(der []byte) (*x509.Certificate, error) {
 	key := sha256.Sum256(der)
-	if v, ok := leafCache.Load(key); ok {
-		return v.(*x509.Certificate), nil
+	leafCache.mu.RLock()
+	leaf := leafCache.m[key]
+	leafCache.mu.RUnlock()
+	if leaf != nil {
+		return leaf, nil
 	}
 	leaf, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, err
 	}
-	leafCache.Store(key, leaf)
+	leafCache.mu.Lock()
+	if leafCache.m == nil || len(leafCache.m) >= maxLeafCacheEntries {
+		leafCache.m = make(map[[32]byte]*x509.Certificate, 256)
+	}
+	leafCache.m[key] = leaf
+	leafCache.mu.Unlock()
 	return leaf, nil
 }
 
-// skeVerified is the verify-once cache: once a (leaf certificate, KEX
-// params) pair has carried a valid signature, later sightings of the same
-// pair skip the signature check. Servers in the simulation always sign
-// honestly, so the skipped verification is over the same signed content
-// (the randoms differ per connection, but the decision a scan acts on —
-// proceed with this server's params — is identical); proven byte-inert
-// against the golden campaign hash. Only successful verifications insert.
-var skeVerified struct {
-	mu sync.RWMutex
-	m  map[[32]byte]struct{}
-}
-
-const maxSKEVerified = 8192
-
-// skeCacheKey binds the leaf fingerprint to the length-prefixed KEX
-// params so distinct (cert, params) pairs can never collide.
-func skeCacheKey(leafDER []byte, ske *wire.SKE) [32]byte {
-	fp := sha256.Sum256(leafDER)
-	var b [256]byte
-	s := append(b[:0], fp[:]...)
-	for _, part := range [][]byte{ske.P, ske.G, ske.Public} {
-		s = binary.BigEndian.AppendUint16(s, uint16(len(part)))
-		s = append(s, part...)
-	}
-	return sha256.Sum256(s)
-}
-
+// verifySKE checks the ServerKeyExchange signature over both randoms and
+// the KEX params with the leaf's key, on every full handshake.
 func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
 	if len(chain) == 0 {
 		return errors.New("tls: no certificate to verify ServerKeyExchange")
@@ -830,14 +701,6 @@ func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRa
 	leaf, err := parseLeaf(chain[0])
 	if err != nil {
 		return err
-	}
-	vkey := skeCacheKey(chain[0], ske)
-	skeVerified.mu.RLock()
-	_, ok := skeVerified.m[vkey]
-	skeVerified.mu.RUnlock()
-	if ok {
-		telemetry.Global().Counter("wall/tlsclient/ske_verify_hit").Inc()
-		return nil
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], clientRandom, serverRandom)
 	digest := sha256.Sum256(hc.sp)
@@ -853,22 +716,5 @@ func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRa
 	default:
 		return errors.New("tls: unsupported server public key")
 	}
-	skeVerified.mu.Lock()
-	if skeVerified.m == nil || len(skeVerified.m) >= maxSKEVerified {
-		skeVerified.m = make(map[[32]byte]struct{})
-	}
-	skeVerified.m[vkey] = struct{}{}
-	skeVerified.mu.Unlock()
 	return nil
-}
-
-func equal(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var v byte
-	for i := range a {
-		v |= a[i] ^ b[i]
-	}
-	return v == 0
 }

@@ -335,13 +335,21 @@ func ParseServerHelloInto(h *ServerHello, body []byte) error {
 // ---- Certificate ----
 
 func MarshalCertificate(chain [][]byte) *Msg {
-	inner := newBuilder()
+	return &Msg{Type: TypeCertificate, Body: AppendCertificate(nil, chain)[4:]}
+}
+
+// AppendCertificate appends the framed Certificate message carrying chain
+// to dst.
+func AppendCertificate(dst []byte, chain [][]byte) []byte {
+	dst, msg := beginMsg(dst, TypeCertificate)
+	list := len(dst)
+	dst = append(dst, 0, 0, 0)
 	for _, c := range chain {
-		inner.vec24(c)
+		dst = append(dst, byte(len(c)>>16), byte(len(c)>>8), byte(len(c)))
+		dst = append(dst, c...)
 	}
-	b := newBuilder()
-	b.vec24(inner.bytes())
-	return &Msg{Type: TypeCertificate, Body: b.bytes()}
+	putUint24(dst[list:list+3], len(dst)-list-3)
+	return endMsg(dst, msg)
 }
 
 func ParseCertificate(body []byte) ([][]byte, error) {
@@ -543,8 +551,8 @@ func (t *NewSessionTicket) AppendTo(dst []byte) []byte {
 // AppendNSTPrefix appends the fixed NewSessionTicket message prefix —
 // handshake header, lifetime hint, ticket length — for a ticket of known
 // length. Appending exactly ticketLen ticket bytes afterwards yields the
-// same bytes as NewSessionTicket.AppendTo; the server caches this prefix
-// per (STEK, hint) and seals the ticket directly behind it.
+// same bytes as NewSessionTicket.AppendTo; the server seals the ticket
+// directly behind this prefix.
 func AppendNSTPrefix(dst []byte, hint time.Duration, ticketLen int) []byte {
 	n := 4 + 2 + ticketLen
 	dst = append(dst, TypeNewSessionTicket, byte(n>>16), byte(n>>8), byte(n))
@@ -603,10 +611,6 @@ func (w *builder) vec8(v []byte) {
 }
 func (w *builder) vec16(v []byte) {
 	w.u16(uint16(len(v)))
-	w.raw(v)
-}
-func (w *builder) vec24(v []byte) {
-	w.b = append(w.b, byte(len(v)>>16), byte(len(v)>>8), byte(len(v)))
 	w.raw(v)
 }
 

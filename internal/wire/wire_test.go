@@ -63,6 +63,19 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	if got, want := nst.AppendTo(nil), nst.Marshal().Marshal(); !bytes.Equal(got, want) {
 		t.Errorf("NewSessionTicket.AppendTo differs from Marshal:\n  got  %x\n  want %x", got, want)
 	}
+
+	// AppendCertificate (MarshalCertificate wraps it) must round-trip
+	// through the parser when appended behind existing bytes.
+	chain := [][]byte{[]byte("leaf-der"), bytes.Repeat([]byte{7}, 300)}
+	prefix := []byte("scratch")
+	msgs, err := ParseMsgs(AppendCertificate(prefix, chain)[len(prefix):])
+	if err != nil || len(msgs) != 1 || msgs[0].Type != TypeCertificate {
+		t.Fatalf("AppendCertificate framing: %v %+v", err, msgs)
+	}
+	if got, err := ParseCertificate(msgs[0].Body); err != nil || len(got) != 2 ||
+		!bytes.Equal(got[0], chain[0]) || !bytes.Equal(got[1], chain[1]) {
+		t.Errorf("AppendCertificate round-trip: %v %q", err, got)
+	}
 }
 
 // TestParseIntoReuse pins the pooled-destination parsers: repeated
