@@ -20,18 +20,21 @@ test:
 	$(GO) test -short ./...
 
 # Lossy-network robustness suite: fault plan determinism, scan deadlines
-# and retries, the error taxonomy, cache sweeping, and the empty-plan
-# golden-hash inertness proof.
+# and retries (a stalled read fails as soon as its deadline is armed, and
+# a stalled domain no longer holds up a campaign), the error taxonomy,
+# cache sweeping, the faulted campaign (same dataset for 3 and 13
+# workers; its 2-shard merge reproduces dataset and journal, matrix row
+# faulted-shards=2), and the empty-plan golden-hash inertness proof.
 test-faults:
-	$(GO) test -run 'Fault|Stall|Refus|Reset|Retry|Transient|Classify|Churn|Decide|Sweep|Len|Expire|NoRoute|Clearing|Golden' \
+	$(GO) test -run 'Fault|Stall|Refus|Reset|Retry|Transient|Classify|Churn|Decide|Sweep|Len|Expire|NoRoute|Clearing|Golden|TestDeterminismMatrix/^faulted-' \
 		./internal/faults ./internal/simnet ./internal/scanner ./internal/session ./internal/study
 
 # Telemetry suite: registry/histogram correctness under -race, the
-# phase spans a campaign delivers to its observer, dial/label collectors, report-rendering determinism,
-# and the tentpole proof — the golden 200x8 campaign re-run with
-# telemetry fully enabled must still match the committed hash, and a
-# faulted campaign's deterministic metrics must be identical across
-# worker counts.
+# phase spans a campaign delivers to its observer, dial/label collectors,
+# report-rendering determinism, and TestTelemetryObservationallyInert:
+# the golden 200x8 campaign re-run with a registry and journal attached
+# must still match the committed hash, and a faulted campaign's
+# deterministic metrics must be identical for 3 and 13 workers.
 test-telemetry:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -run 'Telemetry|Span|ReportRendering' \
@@ -39,10 +42,12 @@ test-telemetry:
 
 # Sharding determinism suite: the 200x8 seed-7 campaign split into 1, 3,
 # and 5 independently-run shards and merged must reproduce the committed
-# golden hash byte-identically, shards must not depend on worker count,
+# golden hash byte-identically, a shard must not depend on worker count,
+# the faulted, weak-crypto and traffic campaigns' 2-shard merges must
+# reproduce their monolithic datasets (the faulted one its journal too),
 # and the merge must reject malformed shard sets.
 test-shards:
-	$(GO) test -run 'Shard|Merge|CampaignDeterminism' -count=1 ./internal/study
+	$(GO) test -run 'Shard|Merge|CampaignDeterminism|TestDeterminismMatrix/shard' -count=1 ./internal/study
 
 # Cryptanalysis suite: dictionary cracking and probe units, the ticket
 # key-name regressions, the client's SKE checks (a replayed
@@ -52,11 +57,12 @@ test-shards:
 # isolation under -race, round-trip property, e2e resumed-capture
 # decryption), and the weak-population campaign proofs — nonzero measured
 # decryption yield with the toggle on, byte-identical golden hash with it
-# off, and worker-count/shard invariance of the weak campaign itself.
+# off (TestWeakCryptoOffMatchesGolden), and worker-count/shard
+# invariance of the weak campaign itself (the weak matrix family).
 test-cryptanalysis:
 	$(GO) test -count=1 ./internal/cryptanalysis ./internal/ticket ./internal/vulnwindow ./internal/tlsclient
 	$(GO) test -race -count=1 ./internal/attacker
-	$(GO) test -run 'WeakCrypto|CampaignDeterminism' -count=1 ./internal/study
+	$(GO) test -run 'WeakCrypto|TestDeterminismMatrix/^weak-' -count=1 ./internal/study
 
 # Observability-plane suite. Fast half under -race: SSE broadcaster
 # accounting under churn (never blocks, every dropped event counted),
@@ -65,25 +71,30 @@ test-cryptanalysis:
 # the whole plane attached (HTTP server + churning SSE subscribers +
 # flight-recorder journal) must match the committed hash, every span
 # field must reach the journal's phase_end event, the journal's
-# deterministic view must be identical across worker counts and for
-# sharded-vs-monolithic merges, studyrun's fatal path must finalize
-# every sink, and the -obsv listener must serve /debug/pprof/ (plus the
-# simweb -metrics smoke).
+# deterministic view must be identical across worker counts, studyrun's
+# fatal path must finalize every sink, and the -obsv listener must serve
+# /debug/pprof/ (plus the simweb -metrics smoke). The matrix row
+# faulted-shards=2 (internal/study) checks that merged shard journals
+# equal the monolithic one.
 test-obsv:
 	$(GO) test -race -count=1 -run 'Broadcaster|Prom|Sanitize|JournalRoundTrip|JournalValidation|JournalVersion|JournalAbort|MergeJournals|ClusterView' ./internal/obsv
 	$(GO) test -count=1 ./internal/obsv ./cmd/studyrun ./cmd/simweb ./cmd/tlsobserve
+	$(GO) test -count=1 -run 'TestDeterminismMatrix/^faulted-' ./internal/study
 
 # Traffic-plane suite: the workload model's purity and engine determinism
 # (worker counts, user shards), the session store's bounded-LRU eviction
 # order, the stable-dial isolation proof, the zero-wall-delta progress
-# guards, the timeline traffic lanes, and the study-level contract — a
+# guards, the timeline traffic lanes, and the study-level contract (the
+# traffic matrix family, clean-traffic and TestCampaignDeterminism) — a
 # traffic-on campaign is deterministic across workers and shard merges,
-# and with traffic off the golden 200x8 hash still holds.
+# traffic on leaves the scanner's fields byte-identical to the golden
+# (clean-traffic), and with traffic off the golden 200x8 hash still
+# holds (TestCampaignDeterminism).
 test-traffic:
 	$(GO) test -count=1 ./internal/traffic
 	$(GO) test -run 'BoundedCache|StableDials|ProgressZeroWallDelta|ProgressCounterRollback|ProgressTrafficFields|Timeline' \
 		-count=1 ./internal/session ./internal/simnet ./internal/obsv ./cmd/tlsobserve
-	$(GO) test -run 'Traffic|CampaignDeterminism' -count=1 ./internal/study
+	$(GO) test -run 'CampaignDeterminism|TestDeterminismMatrix/^(traffic-|clean-traffic$$)' -count=1 ./internal/study
 
 # Benchmark-module suite: perfbench is its own Go module, so the root
 # go test ./... never builds it. Vet and test it, then run a short scan

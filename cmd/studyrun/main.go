@@ -83,15 +83,14 @@ func main() {
 		trafficSeed   = flag.Int64("traffic-seed", 0, "traffic workload seed (defaults to -seed)")
 		trafficVisits = flag.Float64("traffic-visits", 0, "mean visits per user per day (default 6)")
 
-		probeTimeout = flag.Duration("probe-timeout", 0, "per-connection deadline (0 = scanner default, <0 disables)")
-		retries      = flag.Int("retries", 0, "transient-failure retries (0 = scanner default, <0 disables)")
-		faultSeed    = flag.Int64("fault-seed", 0, "fault plan seed (defaults to -seed)")
-		faultRefuse  = flag.Float64("fault-refuse", 0, "per-dial refusal probability")
-		faultReset   = flag.Float64("fault-reset", 0, "per-dial mid-handshake reset probability")
-		faultStall   = flag.Float64("fault-stall", 0, "per-dial stalled-server probability")
-		faultFlap    = flag.Float64("fault-flap", 0, "per-(backend,day) outage probability")
-		faultChurn   = flag.Float64("fault-churn", 0, "per-domain churn-window probability")
-		churnDays    = flag.Int("fault-churn-days", 3, "max churn window length in days")
+		retries     = flag.Int("retries", 0, "transient-failure retries (0 = scanner default, <0 disables)")
+		faultSeed   = flag.Int64("fault-seed", 0, "fault plan seed (defaults to -seed)")
+		faultRefuse = flag.Float64("fault-refuse", 0, "per-dial refusal probability")
+		faultReset  = flag.Float64("fault-reset", 0, "per-dial mid-handshake reset probability")
+		faultStall  = flag.Float64("fault-stall", 0, "per-dial stalled-server probability")
+		faultFlap   = flag.Float64("fault-flap", 0, "per-(backend,day) outage probability")
+		faultChurn  = flag.Float64("fault-churn", 0, "per-domain churn-window probability")
+		churnDays   = flag.Int("fault-churn-days", 3, "max churn window length in days")
 
 		telemetryOut = flag.String("telemetry-out", "", "write the final telemetry snapshot JSON to this path")
 		journalOut   = flag.String("journal", "", "write the flight-recorder event journal (JSONL) to this path")
@@ -142,16 +141,15 @@ func main() {
 	}
 	cfg := runConfig{
 		opts: study.Options{
-			ListSize:     *listSize,
-			Days:         *days,
-			Seed:         *seed,
-			Workers:      *workers,
-			Logf:         logf,
-			Faults:       fo,
-			ProbeTimeout: *probeTimeout,
-			Retries:      *retries,
-			WeakCrypto:   *weakCrypto,
-			Traffic:      to,
+			ListSize:   *listSize,
+			Days:       *days,
+			Seed:       *seed,
+			Workers:    *workers,
+			Logf:       logf,
+			Faults:     fo,
+			Retries:    *retries,
+			WeakCrypto: *weakCrypto,
+			Traffic:    to,
 		},
 		shard:         *shard,
 		out:           *out,

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -173,36 +172,29 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 	}
 }
 
-// journalOpts is the worker-invariance campaign: smaller than detOpts
-// but with the full fault stack so failure-class deltas are exercised.
-func journalOpts() study.Options {
-	return study.Options{
-		ListSize:     120,
-		Days:         5,
-		Seed:         7,
-		ProbeTimeout: 120 * time.Millisecond,
-		Faults: &faults.Options{
-			Seed: 11, Refuse: 0.06, Reset: 0.03, Stall: 0.01,
-			Flap: 0.05, Churn: 0.08, ChurnMaxDays: 3,
-		},
+// TestJournalWorkerInvariance: the deterministic view of a faulted
+// campaign's journal is byte-identical whether it ran with 3 workers or
+// 13.
+func TestJournalWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two faulted campaigns; run without -short")
+	}
+	a, b := faultedJournalView(t, 3), faultedJournalView(t, 13)
+	if a != b {
+		t.Fatalf("journal depends on worker count (3 vs 13):\n%s", diffHead(a, b))
 	}
 }
 
-// runJournal executes one campaign with a journal observer attached and
-// returns the decoded journal.
-func runJournal(t *testing.T, opts study.Options, shard string) []obsv.Event {
+// faultedJournalView runs a campaign under the full fault stack, stalls
+// included, with a journal attached, and returns the journal's
+// DeterministicView as indented JSON.
+func faultedJournalView(t *testing.T, workers int) string {
 	t.Helper()
+	opts := study.Options{ListSize: 120, Days: 5, Seed: 7, Workers: workers,
+		Faults: &faults.Options{Seed: 11, Refuse: 0.06, Reset: 0.03, Stall: 0.01, Flap: 0.05, Churn: 0.08, ChurnMaxDays: 3}}
 	var buf bytes.Buffer
 	j := obsv.NewJournal(&buf)
-	j.SetShard(shard)
-	if shard != "" {
-		spec, err := parseShard(shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Shard = spec
-	}
-	j.CampaignStart(opts.ListSize, opts.Days, opts.Seed, opts.Workers, shard)
+	j.CampaignStart(opts.ListSize, opts.Days, opts.Seed, opts.Workers, "")
 	opts.Observer = j
 	ds, err := study.Run(opts)
 	if err != nil {
@@ -212,81 +204,18 @@ func runJournal(t *testing.T, opts study.Options, shard string) []obsv.Event {
 	if err := j.Close(); err != nil {
 		t.Fatalf("journal: %v", err)
 	}
-	events, err := obsv.DecodeEvents(bytes.NewReader(buf.Bytes()))
+	events, err := obsv.DecodeEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := obsv.ValidateJournal(events); err != nil {
 		t.Fatal(err)
 	}
-	return events
-}
-
-func parseShard(s string) (*study.ShardSpec, error) {
-	i := strings.IndexByte(s, '/')
-	idx, err := strconv.Atoi(s[:i])
-	if err != nil {
-		return nil, err
-	}
-	count, err := strconv.Atoi(s[i+1:])
-	if err != nil {
-		return nil, err
-	}
-	spec := &study.ShardSpec{Index: idx, Count: count}
-	return spec, spec.Validate()
-}
-
-func journalJSON(t *testing.T, events []obsv.Event) string {
-	t.Helper()
-	b, err := json.MarshalIndent(events, "", " ")
+	b, err := json.MarshalIndent(obsv.DeterministicView(events), "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// TestJournalWorkerInvariance: the deterministic view of the journal is
-// byte-identical whether the campaign ran with 3 workers or 13.
-func TestJournalWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two faulted campaigns; run without -short")
-	}
-	a := journalOpts()
-	a.Workers = 3
-	b := journalOpts()
-	b.Workers = 13
-	ja := obsv.DeterministicView(runJournal(t, a, ""))
-	jb := obsv.DeterministicView(runJournal(t, b, ""))
-	sa, sb := journalJSON(t, ja), journalJSON(t, jb)
-	if sa != sb {
-		t.Fatalf("journal depends on worker count (3 vs 13):\n%s", diffHead(sa, sb))
-	}
-}
-
-// TestJournalShardMergeMatchesMonolithic: merging the 2-shard journals
-// deterministically equals the normalized monolithic journal.
-func TestJournalShardMergeMatchesMonolithic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three faulted campaigns; run without -short")
-	}
-	opts := journalOpts()
-	opts.Workers = 4
-	mono := runJournal(t, opts, "")
-	s0 := runJournal(t, opts, "0/2")
-	s1 := runJournal(t, opts, "1/2")
-
-	merged, err := obsv.MergeJournalsDeterministic(s0, s1)
-	if err != nil {
-		t.Fatalf("merging shards: %v", err)
-	}
-	normMono, err := obsv.MergeJournalsDeterministic(mono)
-	if err != nil {
-		t.Fatalf("normalizing monolithic: %v", err)
-	}
-	sm, sn := journalJSON(t, merged), journalJSON(t, normMono)
-	if sm != sn {
-		t.Fatalf("sharded journal merge diverges from monolithic:\n%s", diffHead(sm, sn))
-	}
 }
 
 // diffHead renders the first differing lines of two texts.

@@ -86,9 +86,7 @@ func (s *Scanner) tapProbe(domain, label string, cfg *tlsclient.Config) (*attack
 		return nil, nil, err
 	}
 	defer conn.Close()
-	if t := s.timeout(); t > 0 {
-		_ = conn.SetDeadline(time.Now().Add(t))
-	}
+	_ = conn.SetDeadline(time.Now().Add(s.timeout()))
 	cfg.ServerName = domain
 	cfg.Clock = s.Clock
 	cfg.Roots = s.Roots

@@ -71,7 +71,7 @@ type Scanner struct {
 	// Timeout bounds each connection in wall time: the scanner arms the
 	// conn's read/write deadline so a stalled backend surfaces as a
 	// timeout instead of deadlocking a campaign worker forever.
-	// 0 means DefaultTimeout; negative disables deadlines.
+	// 0 means DefaultTimeout.
 	Timeout time.Duration
 
 	// Retries is how many times a transiently failed probe (dial /
@@ -122,8 +122,10 @@ func (s *Scanner) ensureArenas() {
 }
 
 // Scan hardening defaults: generous wall-clock deadline (simnet
-// handshakes finish in microseconds; only a stalled peer ever reaches
-// it) and two retries, matching common active-scan practice.
+// handshakes finish in microseconds, and a simulated stalled peer fails
+// the read as soon as a deadline is armed; only an unresponsive real
+// peer waits it out) and two retries, matching common active-scan
+// practice.
 const (
 	DefaultTimeout = 5 * time.Second
 	DefaultRetries = 2
@@ -140,11 +142,8 @@ func (s *Scanner) workers() int {
 }
 
 func (s *Scanner) timeout() time.Duration {
-	switch {
-	case s.Timeout > 0:
+	if s.Timeout > 0 {
 		return s.Timeout
-	case s.Timeout < 0:
-		return 0
 	}
 	return DefaultTimeout
 }
@@ -293,9 +292,7 @@ func (s *Scanner) connectOnce(ar *workerArena, dst *tlsclient.Capture, domain, l
 		return faults.ClassDial, err
 	}
 	defer conn.Close()
-	if t := s.timeout(); t > 0 {
-		_ = conn.SetDeadline(time.Now().Add(t))
-	}
+	_ = conn.SetDeadline(time.Now().Add(s.timeout()))
 	cfg.ServerName = domain
 	cfg.Clock = s.Clock
 	if wait > 0 && s.Clock != nil {

@@ -75,6 +75,17 @@ func NewBufferedPipe() (net.Conn, net.Conn) {
 	return &p.a, &p.b
 }
 
+// newStalledConn returns the client end of a buffered pipe whose peer
+// takes the client's bytes but never answers. A peer that never writes
+// is certain to let any read deadline expire, so a read under a deadline
+// fails at once rather than waiting the deadline out in wall time; a
+// read with no deadline blocks until Close.
+func newStalledConn() net.Conn {
+	cli, _ := NewBufferedPipe()
+	cli.(*bufConn).rd.stalled = true
+	return cli
+}
+
 // pipePair packs a pipe's two directions and two endpoints into a single
 // allocation.
 type pipePair struct {
@@ -90,6 +101,8 @@ type pipeBuf struct {
 	off   int
 	wEOF  bool // writer side closed: drain then io.EOF
 	rGone bool // reader side closed: writes fail, reads fail
+	// stalled: the writer never writes (see newStalledConn)
+	stalled bool
 
 	rdDeadline time.Time
 	wrDeadline time.Time
@@ -177,7 +190,7 @@ func (b *pipeBuf) read(p []byte) (int, error) {
 		if b.wEOF {
 			return 0, io.EOF
 		}
-		if !b.rdDeadline.IsZero() && !time.Now().Before(b.rdDeadline) {
+		if !b.rdDeadline.IsZero() && (b.stalled || !time.Now().Before(b.rdDeadline)) {
 			return 0, timeoutError()
 		}
 		if len(p) == 0 {

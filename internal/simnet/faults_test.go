@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -39,27 +42,68 @@ func TestNoRouteClassifiesDial(t *testing.T) {
 	}
 }
 
+// TestStalledBackendTimesOutReads: a stalled peer never writes, so a
+// read under a deadline fails as a timeout at once, however far away the
+// deadline is; a read with no deadline blocks until the conn is closed.
 func TestStalledBackendTimesOutReads(t *testing.T) {
-	n := faultNet()
-	clock := simclock.NewManual(simclock.Epoch)
-	n.SetFaults(faults.NewPlan(faults.Options{Seed: 1, StallDomains: []string{"a.example"}}, clock))
-	conn, err := n.DialProbe("a.example", "probe")
-	if err != nil {
-		t.Fatalf("stalled dial should return a connection: %v", err)
+	dial := func(t *testing.T) net.Conn {
+		t.Helper()
+		n := faultNet()
+		clock := simclock.NewManual(simclock.Epoch)
+		n.SetFaults(faults.NewPlan(faults.Options{Seed: 1, StallDomains: []string{"a.example"}}, clock))
+		conn, err := n.DialProbe("a.example", "probe")
+		if err != nil {
+			t.Fatalf("stalled dial should return a connection: %v", err)
+		}
+		if _, err := conn.Write([]byte("client hello bytes")); err != nil {
+			t.Fatalf("write to stalled backend should be swallowed: %v", err)
+		}
+		return conn
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("client hello bytes")); err != nil {
-		t.Fatalf("write to stalled backend should be swallowed: %v", err)
+	read := func(conn net.Conn) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			n, err := conn.Read(make([]byte, 16))
+			if n > 0 {
+				err = errors.New("read from stalled backend returned data")
+			}
+			done <- err
+		}()
+		return done
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	buf := make([]byte, 16)
-	_, err = conn.Read(buf)
-	if err == nil {
-		t.Fatal("read from stalled backend returned data")
-	}
-	if c := faults.Classify(err); c != faults.ClassTimeout {
-		t.Fatalf("stalled read classified %q, want %q (err: %v)", c, faults.ClassTimeout, err)
-	}
+
+	t.Run("deadline", func(t *testing.T) {
+		conn := dial(t)
+		defer conn.Close()
+		_ = conn.SetReadDeadline(time.Now().Add(time.Hour))
+		select {
+		case err := <-read(conn):
+			if c := faults.Classify(err); c != faults.ClassTimeout {
+				t.Fatalf("stalled read classified %q, want %q (err: %v)", c, faults.ClassTimeout, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("stalled read under a 1h deadline waited on the wall clock")
+		}
+	})
+
+	t.Run("no deadline", func(t *testing.T) {
+		conn := dial(t)
+		done := read(conn)
+		select {
+		case err := <-done:
+			t.Fatalf("stalled read with no deadline returned early: %v", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		go conn.Close()
+		select {
+		case err := <-done:
+			if !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("read after Close returned %v, want %v", err, io.ErrClosedPipe)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not unblock the stalled read")
+		}
+	})
 }
 
 func TestResetDropsConnectionMidHandshake(t *testing.T) {

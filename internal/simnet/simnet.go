@@ -7,7 +7,6 @@ package simnet
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -210,15 +209,7 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 		case faults.Churn:
 			return nil, &faults.DialError{Domain: domain, Reason: "no such host"}
 		case faults.Stall:
-			cli, srv := NewBufferedPipe()
-			go func() {
-				// Swallow the client's bytes so its writes complete, but
-				// never answer: the client's read deadline must expire.
-				// Exits when the client closes its end.
-				_, _ = io.Copy(io.Discard, srv)
-				_ = srv.Close()
-			}()
-			return cli, nil
+			return newStalledConn(), nil
 		case faults.Reset:
 			cli, srv := NewBufferedPipe()
 			rc := &resetConn{Conn: srv, allow: f.AllowWrites}

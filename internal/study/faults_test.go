@@ -1,107 +1,31 @@
 package study
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"tlsshortcuts/internal/faults"
+	"tlsshortcuts/internal/traffic"
 )
-
-// runAndHash runs a campaign and returns both the dataset and its
-// serialized hash (datasetHash alone discards the dataset).
-func runAndHash(t *testing.T, o Options) (*Dataset, string) {
-	t.Helper()
-	ds, err := Run(o)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	h := sha256.Sum256(b)
-	return ds, hex.EncodeToString(h[:])
-}
-
-// TestEmptyFaultPlanMatchesGolden is the inertness proof the ISSUE
-// demands: a campaign run with an explicitly supplied zero fault plan
-// must serialize byte-identically to the committed golden hash — all the
-// fault machinery (plan lookup, taxonomy fields, deadline arming, retry
-// scaffolding) is provably unobservable on a clean network.
-func TestEmptyFaultPlanMatchesGolden(t *testing.T) {
-	o := detOpts
-	o.Faults = &faults.Options{Seed: 99} // rates all zero: compiles to nil plan
-	got := datasetHash(t, o)
-	golden := filepath.Join("testdata", "campaign_200x8_seed7.sha256")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	if w := strings.TrimSpace(string(want)); got != w {
-		t.Fatalf("empty fault plan perturbed the dataset:\n  got  %s\n  want %s", got, w)
-	}
-}
-
-// TestFaultCampaignDeterministicAcrossWorkers checks the tentpole's
-// replay property: a fixed non-empty fault plan produces a byte-identical
-// dataset for any worker count, because every fault decision, backend
-// choice, retry backoff, and entropy stream keys on the probe's identity
-// rather than on scheduling order.
-func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two faulted campaigns")
-	}
-	fo := &faults.Options{Seed: 11, Refuse: 0.06, Reset: 0.03, Stall: 0.01, Flap: 0.05, Churn: 0.08, ChurnMaxDays: 3}
-	base := Options{ListSize: 120, Days: 5, Seed: 7, ProbeTimeout: 120 * time.Millisecond, Faults: fo}
-
-	a := base
-	a.Workers = 3
-	dsA, hA := runAndHash(t, a)
-	b := base
-	b.Workers = 13
-	_, hB := runAndHash(t, b)
-	if hA != hB {
-		t.Fatalf("same fault plan, different worker counts, different datasets:\n  3 workers  %s\n  13 workers %s", hA, hB)
-	}
-
-	if len(dsA.Failures) == 0 {
-		t.Fatal("faulted campaign recorded no failures")
-	}
-	if dsA.FaultPlan == nil || dsA.FaultPlan.Seed != 11 {
-		t.Fatalf("dataset did not record the fault plan: %+v", dsA.FaultPlan)
-	}
-	if len(dsA.MissedDays) == 0 {
-		t.Fatal("faulted campaign recorded no missed ticket-scan days")
-	}
-	table := BuildReport(dsA).FailureTable()
-	if !strings.Contains(table, "fault plan: seed 11") {
-		t.Fatalf("failure table missing the fault plan line:\n%s", table)
-	}
-	if strings.Contains(table, "no scan failures recorded") {
-		t.Fatalf("failure table claims a clean run:\n%s", table)
-	}
-}
 
 // TestStalledDomainCampaignCompletes is the regression test for the
 // worker-deadlock bug: a backend that accepts connections but never
 // answers used to hang a campaign forever. With deadlines armed the
 // campaign must finish, classify the domain's scans as timeouts, and
-// drop it from the consistent core.
+// drop it from the consistent core. It runs at the default 5 s deadline
+// with the traffic plane dialing the stalled domain too: a stalled read
+// fails as soon as its deadline is armed, so the campaign finishes in
+// about a second; waiting the deadline out in wall time takes minutes
+// and trips the guard.
 func TestStalledDomainCampaignCompletes(t *testing.T) {
 	o := Options{
-		ListSize:     200,
-		Days:         2,
-		Seed:         3,
-		Workers:      8,
-		ProbeTimeout: 100 * time.Millisecond,
-		Retries:      -1,
-		Faults:       &faults.Options{StallDomains: []string{"yahoo.com"}},
+		ListSize: 200,
+		Days:     2,
+		Seed:     3,
+		Workers:  8,
+		Retries:  -1,
+		Faults:   &faults.Options{StallDomains: []string{"yahoo.com"}},
+		Traffic:  &traffic.Options{Users: 40},
 	}
 	type result struct {
 		ds  *Dataset

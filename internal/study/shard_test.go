@@ -1,96 +1,11 @@
 package study
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"tlsshortcuts/internal/population"
 	"tlsshortcuts/internal/scanner"
 )
-
-// shardedHash runs the determinism campaign as n independent shards,
-// merges them, and returns the merged dataset's hash.
-func shardedHash(t *testing.T, o Options, n int) string {
-	t.Helper()
-	shards := make([]*Dataset, n)
-	for i := 0; i < n; i++ {
-		so := o
-		so.Shard = &ShardSpec{Index: i, Count: n}
-		ds, err := Run(so)
-		if err != nil {
-			t.Fatalf("Run shard %d/%d: %v", i, n, err)
-		}
-		shards[i] = ds
-	}
-	merged, err := MergeDatasets(shards...)
-	if err != nil {
-		t.Fatalf("MergeDatasets(%d): %v", n, err)
-	}
-	b, err := json.Marshal(merged)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
-
-// TestShardedCampaignMatchesGolden is the tentpole proof: splitting the
-// committed 200×8 seed-7 campaign into 1, 3, and 5 independently-run
-// shards and merging them reproduces the byte-identical golden dataset
-// hash of the monolithic run. Every shard builds the full world but
-// scans only its round-robin rank slice, so this pins the whole
-// determinism argument — per-domain entropy keying, label-keyed fault
-// decisions, per-domain backend sequences, and the merge's
-// canonicalization — in one check.
-func TestShardedCampaignMatchesGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "campaign_200x8_seed7.sha256")
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -regen-golden): %v", err)
-	}
-	want := strings.TrimSpace(string(raw))
-	for _, n := range []int{1, 3, 5} {
-		n := n
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			if got := shardedHash(t, detOpts, n); got != want {
-				t.Fatalf("merged %d-shard dataset drifted from golden:\n  got  %s\n  want %s", n, got, want)
-			}
-		})
-	}
-}
-
-// TestShardWorkerIndependence re-runs one shard with a different worker
-// count: a shard's dataset, like the monolithic one, must not depend on
-// scheduling.
-func TestShardWorkerIndependence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two shard campaigns")
-	}
-	run := func(workers int) string {
-		o := detOpts
-		o.Workers = workers
-		o.Shard = &ShardSpec{Index: 1, Count: 3}
-		ds, err := Run(o)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		b, err := json.Marshal(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.Sum256(b)
-		return hex.EncodeToString(h[:])
-	}
-	if a, b := run(8), run(3); a != b {
-		t.Fatalf("shard dataset depends on worker count:\n  w8 %s\n  w3 %s", a, b)
-	}
-}
 
 // TestPopulationShard pins the partition function's contract: disjoint,
 // exhaustive, order-preserving, and representative (round-robin).

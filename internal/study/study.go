@@ -41,10 +41,6 @@ type Options struct {
 	// default to the campaign's.
 	Faults *faults.Options
 
-	// ProbeTimeout overrides the scanner's per-connection wall-clock
-	// deadline (0 = scanner default, negative disables).
-	ProbeTimeout time.Duration
-
 	// Retries overrides the scanner's transient-failure retry budget
 	// (0 = scanner default, negative disables).
 	Retries int
@@ -55,7 +51,8 @@ type Options struct {
 	// run's duration — the session/ticket/keyex collectors. Telemetry
 	// observes, never perturbs: nil leaves every code path untouched,
 	// and an enabled registry reproduces the same golden dataset hash
-	// (TestTelemetryObservationallyInert pins both).
+	// (TestCampaignDeterminism and TestTelemetryObservationallyInert pin
+	// both).
 	Telemetry *telemetry.Registry
 
 	// Observer, when non-nil, receives one PhaseEvent at the start and
@@ -280,7 +277,6 @@ func Run(o Options) (*Dataset, error) {
 	scan := &scanner.Scanner{
 		Dialer: world.Net, Roots: world.Roots, Clock: clock, Workers: o.Workers,
 		Seed:      []byte(fmt.Sprintf("study|%d", o.Seed)),
-		Timeout:   o.ProbeTimeout,
 		Retries:   o.Retries,
 		Telemetry: reg,
 	}

@@ -11,8 +11,9 @@
 // on it is a no-op, so uninstrumented runs take the existing code paths
 // untouched. An enabled registry only adds atomic increments on the
 // side — it draws no entropy and reads no clock the measurement depends
-// on — and TestTelemetryObservationallyInert in internal/study proves
-// the golden dataset hash is byte-identical either way.
+// on — and internal/study's TestCampaignDeterminism and
+// TestTelemetryObservationallyInert prove the golden dataset hash is
+// byte-identical either way.
 //
 // Metric names are "/"-separated. Names under the "wall/" prefix carry
 // wall-clock or scheduling-dependent values (real latencies, sweep
@@ -345,7 +346,8 @@ func (r *Registry) Snapshot() *Snapshot {
 // Deterministic returns a copy of the snapshot without the wall/
 // subtree. What remains must be a pure function of (seed, fault plan,
 // probe schedule) — identical for any worker count — which is exactly
-// what TestTelemetryObservationallyInert compares across runs.
+// what TestTelemetryObservationallyInert compares across worker
+// counts.
 func (s *Snapshot) Deterministic() *Snapshot {
 	out := &Snapshot{
 		Counters:   map[string]uint64{},

@@ -429,7 +429,7 @@ func (e *Engine) doVisit(w int, us *userState, day, slot, k int, v visit, now ti
 	e.ctrHSStart.Inc()
 	conn, err := e.dialer.DialProbeStable(d, label)
 	if err == nil {
-		conn.SetDeadline(time.Now().Add(e.opts.timeout()))
+		conn.SetDeadline(time.Now().Add(connTimeout))
 		err = tlsclient.HandshakeInto(&ar.cap, conn, cfg)
 		conn.Close()
 	}

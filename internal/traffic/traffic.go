@@ -95,8 +95,6 @@ type Options struct {
 	// ShardIndex/ShardCount partition users round-robin by user index
 	// (user u runs in shard u % ShardCount). ShardCount <= 1 runs all.
 	ShardIndex, ShardCount int
-	// Timeout is the per-connection wall-clock deadline (default 5s).
-	Timeout time.Duration
 }
 
 func (o *Options) meanVisits() float64 {
@@ -120,12 +118,10 @@ func (o *Options) workers() int {
 	return 8
 }
 
-func (o *Options) timeout() time.Duration {
-	if o.Timeout > 0 {
-		return o.Timeout
-	}
-	return 5 * time.Second
-}
+// connTimeout is the per-connection wall-clock deadline. Simulated
+// handshakes finish in microseconds and a stalled peer fails the read as
+// soon as the deadline is armed, so it only bounds a broken peer.
+const connTimeout = 5 * time.Second
 
 func (o *Options) policies() []Policy {
 	if len(o.Policies) > 0 {
