@@ -97,12 +97,16 @@ test-traffic:
 	$(GO) test -run 'CampaignDeterminism|TestDeterminismMatrix/^(traffic-|clean-traffic$$)' -count=1 ./internal/study
 
 # Benchmark-module suite: perfbench is its own Go module, so the root
-# go test ./... never builds it. Vet and test it, then run a short scan
-# workload end to end and require its golden and digest checks to pass.
+# go test ./... never builds it. Vet and test it, then run short scan and
+# browse workloads end to end and require their golden and digest checks
+# to pass: scan times study.Run, browse times population.Build and the
+# traffic plane.
 test-perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload scan --seed 1 --seconds 5 --trace 0 | tee /tmp/perfbench_smoke.txt
 	tail -n 1 /tmp/perfbench_smoke.txt | grep -q '"correct":true'
+	bash perfbench/run.sh --workload browse --seed 1 --seconds 5 --trace 0 | tee /tmp/perfbench_browse.txt
+	tail -n 1 /tmp/perfbench_browse.txt | grep -q '"correct":true'
 
 race:
 	$(GO) test -race ./...

@@ -120,12 +120,12 @@ func decryptAndPrint(rec *attacker.Recovered, master []byte) {
 // key.
 func runDemo(outPath string) {
 	clock := simclock.NewManual(simclock.Epoch)
-	root, err := pki.NewRootCA("Demo Root", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("Demo Root")
 	if err != nil {
 		log.Fatal(err)
 	}
-	leaf, err := root.IssueLeaf([]string{"demo.example"}, pki.ECDSAP256,
-		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), pki.DefaultRand)
+	leaf, err := root.IssueLeaf([]string{"demo.example"}, 2,
+		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

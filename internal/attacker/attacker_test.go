@@ -167,12 +167,12 @@ func TestTapConcurrentParse(t *testing.T) {
 // secret the resumed connection reuses.
 func TestOfferedTicketDecryption(t *testing.T) {
 	clock := simclock.NewManual(simclock.Epoch)
-	root, err := pki.NewRootCA("Tap Test CA", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("Tap Test CA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := root.IssueLeaf([]string{"victim.test"}, pki.ECDSAP256,
-		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), pki.DefaultRand)
+	leaf, err := root.IssueLeaf([]string{"victim.test"}, 2,
+		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,10 @@ package population
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"tlsshortcuts/internal/cryptanalysis"
@@ -274,7 +277,13 @@ func weakProfiles() []profile {
 	}
 }
 
-// Build constructs the world.
+// Build constructs the world in two passes. The first runs in rank order:
+// it draws every behaviour from the seeded stream, wires the terminators
+// and reserves each leaf certificate (issuer, names, serial), handing its
+// configs an empty *pki.Certificate. The second signs the reserved leaves
+// on GOMAXPROCS goroutines — issuance is nearly all of the build's CPU —
+// and fills those certificates in before Build returns. Only key material
+// and signatures differ between builds of the same Options.
 func Build(o Options) (*World, error) {
 	if o.ListSize < 50 {
 		return nil, fmt.Errorf("population: ListSize %d too small (need >= 50)", o.ListSize)
@@ -289,11 +298,11 @@ func Build(o Options) (*World, error) {
 	}
 	rng := rand.New(rand.NewSource(o.Seed ^ 0x7515))
 
-	root, err := pki.NewRootCA("Sim Trust Root", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("Sim Trust Root")
 	if err != nil {
 		return nil, err
 	}
-	badRoot, err := pki.NewRootCA("Shady CA", pki.ECDSAP256, pki.DefaultRand)
+	badRoot, err := pki.NewRootCA("Shady CA")
 	if err != nil {
 		return nil, err
 	}
@@ -324,11 +333,10 @@ func Build(o Options) (*World, error) {
 		for i := len(names); i < count; i++ {
 			names = append(names, fmt.Sprintf("%s-site-%04d.example", p.op, i))
 		}
-		if err := bld.operatorBlock(p, names, &rank); err != nil {
-			return nil, err
-		}
+		bld.operatorBlock(p, names, &rank)
 	}
-	if err := bld.tail(o.ListSize-len(w.Domains), &rank); err != nil {
+	bld.tail(o.ListSize-len(w.Domains), &rank)
+	if err := bld.issueLeaves(); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -342,6 +350,63 @@ type builder struct {
 	start    time.Time
 	notAfter time.Time
 	asSeq    int
+	leaves   []leafReq
+}
+
+// leafReq is one leaf certificate reserved by the rank-order pass and
+// signed by issueLeaves into cert, which the terminator configs already
+// hold.
+type leafReq struct {
+	cert   *pki.Certificate
+	issuer *pki.RootCA
+	names  []string
+	serial int64
+}
+
+// reserveLeaf reserves a leaf for names from issuer, numbered by its
+// position in the build order.
+func (b *builder) reserveLeaf(issuer *pki.RootCA, names []string) *pki.Certificate {
+	cert := &pki.Certificate{}
+	b.leaves = append(b.leaves, leafReq{cert: cert, issuer: issuer, names: names, serial: int64(1001 + len(b.leaves))})
+	return cert
+}
+
+// issueLeaves signs every reserved leaf, with one worker per GOMAXPROCS
+// claiming indices from a shared counter. If several fail, the error of
+// the lowest index is returned, so it does not depend on scheduling.
+func (b *builder) issueLeaves() error {
+	n := len(b.leaves)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	errs := make([]error, n)
+	nb := b.start.AddDate(0, -2, 0)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				r := b.leaves[i]
+				cert, err := r.issuer.IssueLeaf(r.names, r.serial, nb, b.notAfter)
+				if err != nil {
+					errs[i] = fmt.Errorf("population: issuing leaf serial %d: %w", r.serial, err)
+					continue
+				}
+				*r.cert = *cert
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (b *builder) manager(p STEKPolicy, format ticket.Format, seed string) ticket.Manager {
@@ -391,7 +456,7 @@ func (b *builder) config(beh Behavior, mgr ticket.Manager, cache *session.Cache,
 
 // operatorBlock deploys one named operator: shared STEK manager, shared
 // session cache, shared KEX seeds, domains spread over chunked backends.
-func (b *builder) operatorBlock(p profile, names []string, rank *int) error {
+func (b *builder) operatorBlock(p profile, names []string, rank *int) {
 	seedTag := fmt.Sprintf("%s|%d", p.op, b.w.Opts.Seed)
 	stekSeed := "stek:" + seedTag
 	if p.stekSeed != "" {
@@ -427,10 +492,7 @@ func (b *builder) operatorBlock(p profile, names []string, rank *int) error {
 			j = len(names)
 		}
 		block := names[i:j]
-		cert, err := b.root.IssueLeaf(block, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, pki.DefaultRand)
-		if err != nil {
-			return err
-		}
+		cert := b.reserveLeaf(b.root, block)
 		cfg := b.config(p.b, mgr, cache, cert, hint, seedTag)
 		term := &Terminator{Config: cfg, Behavior: p.b, Tickets: mgr}
 		ip := fmt.Sprintf("%s-ip-%d", p.op, i/chunk)
@@ -440,7 +502,6 @@ func (b *builder) operatorBlock(p profile, names []string, rank *int) error {
 			b.w.Net.Register(name, as, []string{ip}, &simnet.Endpoint{Config: cfg})
 		}
 	}
-	return nil
 }
 
 func (b *builder) nextAS() int {
@@ -450,10 +511,7 @@ func (b *builder) nextAS() int {
 
 // tail deploys the long tail: independently sampled per-domain policies,
 // small shared-cache co-lo cliques, and the untrusted fringe.
-func (b *builder) tail(count int, rank *int) error {
-	if count <= 0 {
-		return nil
-	}
+func (b *builder) tail(count int, rank *int) {
 	day := 24 * time.Hour
 	var as int
 	inAS := 0
@@ -505,10 +563,7 @@ func (b *builder) tail(count int, rank *int) error {
 		if beh.Tickets && beh.STEK.Static && b.rng.Float64() < 0.5 {
 			backends = 2
 		}
-		cert, err := issuer.IssueLeaf([]string{name}, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, pki.DefaultRand)
-		if err != nil {
-			return err
-		}
+		cert := b.reserveLeaf(issuer, []string{name})
 		var terms []*Terminator
 		var eps []*simnet.Endpoint
 		for k := 0; k < backends; k++ {
@@ -522,7 +577,6 @@ func (b *builder) tail(count int, rank *int) error {
 		*rank++
 		b.w.Net.Register(name, as, []string{"ip-" + name}, eps...)
 	}
-	return nil
 }
 
 // sampleTailBehavior draws one long-tail domain's policies, calibrated to

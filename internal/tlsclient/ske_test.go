@@ -49,12 +49,12 @@ func (c *skeTamperConn) Write(b []byte) (int, error) {
 // a thief holding the reused KEX private value answers that check
 // itself, so only the signature error stops the impersonation.
 func TestReplayedSKEBadSignatureRejected(t *testing.T) {
-	root, err := pki.NewRootCA("SKE Test CA", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("SKE Test CA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := root.IssueLeaf([]string{"ske.test"}, pki.ECDSAP256,
-		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), pki.DefaultRand)
+	leaf, err := root.IssueLeaf([]string{"ske.test"}, 2,
+		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
